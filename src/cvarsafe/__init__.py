@@ -6,9 +6,8 @@ sets, and synthesizes the corresponding pre-commitment policies. Ships the
 two-tank stormwater benchmark and exact small-instance oracles.
 """
 
-from ._kernels import backend
 from .cvar import Pmf, cvar_dual, cvar_tail, expected_excess, var
-from .dp import (PolicyTable, TransitionTables, ValueTable, backup_q,
+from .dp import (PolicyTable, TransitionTables, ValueTable, backend, backup_q,
                  bellman_min, precompute_transitions, terminal_value,
                  value_iteration)
 from .grids import AugmentedGrid, interp_xz

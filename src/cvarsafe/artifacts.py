@@ -68,7 +68,10 @@ def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
 
 
 def read_sweep(out_dir):
-    """Reconstruct (DualSweep, AugmentedGrid, config_hash) from a sweep dir."""
+    """Reconstruct (DualSweep, AugmentedGrid, config_hash) from a sweep dir.
+
+    Raises ValueError unless sweep.csv holds one row per s value of the
+    stored s axis, each with one value per stored state node."""
     with open(f"{out_dir}/sweep_meta.json") as fh:
         meta = json.load(fh)
     grid = AugmentedGrid(
@@ -83,6 +86,11 @@ def read_sweep(out_dir):
             if line.startswith("#") or line.startswith("s,"):
                 continue
             rows.append([float(tok) for tok in line.rstrip("\n").split(",")])
+    n_s, n_x = grid.s_axis.size, grid.n_xnodes
+    if len(rows) != n_s or any(len(row) != 1 + n_x for row in rows):
+        raise ValueError(
+            f"{out_dir}/sweep.csv does not match sweep_meta.json: expected "
+            f"{n_s} rows of s and {n_x} values")
     data = np.asarray(rows)
     dsweep = DualSweep(data[:, 0], data[:, 1:])
     return dsweep, grid, meta["config_hash"]

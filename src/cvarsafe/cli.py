@@ -23,8 +23,8 @@ import time
 import numpy as np
 
 from . import artifacts, config as config_mod
-from ._kernels import backend
 from .config import ConfigError
+from .dp import backend
 from .oracle import (OracleError, OracleSizeError, exact_optimal_cvar,
                      generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
@@ -40,8 +40,6 @@ def _fmt_level(value: float) -> str:
 def _load(args):
     try:
         cfg = config_mod.load_config(args.config)
-    except ConfigError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     if getattr(args, "threads", None):
@@ -64,6 +62,20 @@ def _prepare(cfg):
     model = config_mod.build_model(cfg)
     grid = config_mod.build_grid(cfg, model)
     return model, grid, config_mod.config_hash(cfg)
+
+
+def _read_matching_sweep(sweep_dir, grid):
+    """Read a sweep and check that it was made on ``grid``: its stored x, z,
+    action and s axes must equal the configured ones."""
+    dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
+    stored = (*sweep_grid.x_axes, sweep_grid.z_axis, sweep_grid.action_axis,
+              sweep_grid.s_axis)
+    wanted = (*grid.x_axes, grid.z_axis, grid.action_axis, grid.s_axis)
+    if len(stored) != len(wanted) or not all(
+            np.array_equal(a, b) for a, b in zip(stored, wanted)):
+        raise ValueError(f"the sweep in {sweep_dir} was made on another grid "
+                         "than the configured one")
+    return dsweep
 
 
 def cmd_sweep(args) -> int:
@@ -94,14 +106,10 @@ def cmd_safe_sets(args) -> int:
     config_mod.rs_within_range(cfg, model)
     sweep_dir = args.sweep or args.out
     try:
-        dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
+        dsweep = _read_matching_sweep(sweep_dir, grid)
     except FileNotFoundError as exc:
         print(f"error: no sweep found in {sweep_dir} "
               f"(run `cvarsafe sweep` first): {exc}", file=sys.stderr)
-        return 1
-    if sweep_grid.n_xnodes != grid.n_xnodes:
-        print("error: sweep grid does not match the configured grid",
-              file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
@@ -142,7 +150,7 @@ def cmd_deploy(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     if args.sweep:
-        dsweep, _, _ = artifacts.read_sweep(args.sweep)
+        dsweep = _read_matching_sweep(args.sweep, grid)
     else:
         dsweep = sweep(model, grid, threads=cfg["threads"])
     x0 = np.asarray(cfg["deploy"]["x0"], dtype=np.float64)
@@ -200,10 +208,9 @@ def cmd_oracle(args) -> int:
                                  "error": f"pipeline gap {gap!r}"})
         except (OracleError, OracleSizeError) as exc:
             failures.append({"instance": i, "alpha": alpha, "error": str(exc)})
-        if args.write_corpus is None:
-            print(f"  instance {i}: alpha={alpha} "
-                  f"{'FAIL' if failures and failures[-1]['instance'] == i else 'ok'}",
-                  file=sys.stderr)
+        print(f"  instance {i}: alpha={alpha} "
+              f"{'FAIL' if failures and failures[-1]['instance'] == i else 'ok'}",
+              file=sys.stderr)
     if args.write_corpus:
         save_corpus(args.write_corpus, instances)
         print(f"corpus written to {args.write_corpus}", file=sys.stderr)

@@ -7,6 +7,7 @@ Validation errors name the offending field path (``model.params.a1: ...``).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import fields as dataclass_fields
@@ -78,7 +79,8 @@ def load_config(path=None) -> dict:
 
 
 def resolve_config(raw: dict) -> dict:
-    cfg = _merge(_DEFAULTS, raw, "")
+    # A copy, so that callers may edit the result without editing the defaults.
+    cfg = _merge(copy.deepcopy(_DEFAULTS), raw, "")
     _validate(cfg)
     return cfg
 
@@ -88,7 +90,22 @@ def _require(cond, where, msg):
         raise ConfigError(f"{where}: {msg}")
 
 
+def _count(value, where, minimum):
+    """``value`` as an int; a non-integral value or one below ``minimum``
+    is a ConfigError naming ``where``."""
+    try:
+        n = int(value)
+        integral = not isinstance(value, bool) and n == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    _require(integral, where, f"expected an integer count, got {value!r}")
+    _require(n >= minimum, where, f"count must be >= {minimum}")
+    return n
+
+
 def _validate(cfg: dict) -> None:
+    """Check every field, naming its path on failure; counts are converted
+    to ints in place."""
     design = cfg["model"]["design"]
     _require(design in ("a", "b", "c", "d"), "model.design",
              f"must be one of a/b/c/d, got {design!r}")
@@ -115,19 +132,20 @@ def _validate(cfg: dict) -> None:
                      f"model.disturbance[{i}]", "expected a [value, prob] pair")
     grid = cfg["grid"]
     x = grid["x"]
-    _require(isinstance(x, list) and len(x) == 2 and all(int(c) >= 2 for c in x),
-             "grid.x", "expected two counts >= 2")
+    _require(isinstance(x, list) and len(x) == 2, "grid.x",
+             "expected two counts")
+    grid["x"] = [_count(c, f"grid.x[{i}]", 2) for i, c in enumerate(x)]
     for axis in ("z", "action", "s"):
-        _require(int(grid[axis]) >= 2, f"grid.{axis}", "count must be >= 2")
+        grid[axis] = _count(grid[axis], f"grid.{axis}", 2)
     _require(isinstance(cfg["alphas"], list) and cfg["alphas"], "alphas",
              "must be a nonempty list")
     for i, a in enumerate(cfg["alphas"]):
         _require(0.0 < float(a) <= 1.0, f"alphas[{i}]", f"must be in (0, 1], got {a!r}")
     _require(isinstance(cfg["rs"], list) and cfg["rs"], "rs",
              "must be a nonempty list")
-    _require(int(cfg["threads"]) >= 1, "threads", "must be >= 1")
-    _require(int(cfg["deploy"]["rollouts"]) >= 0, "deploy.rollouts",
-             "must be >= 0")
+    cfg["threads"] = _count(cfg["threads"], "threads", 1)
+    cfg["deploy"]["rollouts"] = _count(cfg["deploy"]["rollouts"],
+                                       "deploy.rollouts", 0)
     _require(0.0 < float(cfg["deploy"]["alpha"]) <= 1.0, "deploy.alpha",
              "must be in (0, 1]")
     x0 = cfg["deploy"]["x0"]

@@ -61,12 +61,6 @@ class Pmf:
         self.probs = merged
 
     @classmethod
-    def from_atoms(cls, atoms):
-        """Build from an iterable of ``(value, prob)`` pairs."""
-        pairs = list(atoms)
-        return cls([v for v, _ in pairs], [p for _, p in pairs])
-
-    @classmethod
     def from_samples(cls, samples):
         """Empirical pmf of a sample array (equal weight per draw)."""
         samples = np.asarray(samples, dtype=np.float64).ravel()

@@ -9,6 +9,9 @@ on a rectilinear (x, z) grid, interpolating J_{t+1} multilinearly between
 nodes. Transition geometry (interpolation corners, stage costs, disturbance
 atoms) does not depend on s, so it is precomputed once and shared across a
 whole dual-parameter sweep.
+
+One Bellman step over every (state node, running-max node) pair is the hot
+loop of the solver; ``sweep_kernel`` runs it in numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import sweep_kernel
 from .grids import AugmentedGrid, interp_xz, locate, locate_batch
 from .models import SystemModel
 
@@ -168,8 +170,8 @@ def backup_q(x, z, u, s, J_next, model: SystemModel, grid: AugmentedGrid) -> flo
 
     ``J_next`` is a flat (n_xnodes, n_z) table for the dual parameter ``s``
     (s itself enters only through that table). This pointwise path is used
-    for tests and for local policy re-optimization; the swept path in
-    ``value_iteration`` goes through the precomputed kernels.
+    for tests and for local policy re-optimization; ``value_iteration``
+    goes through ``sweep_kernel`` on the precomputed transition tables.
     """
     x = np.asarray(x, dtype=np.float64)
     pmf = model.disturbance_at(x, u)
@@ -197,6 +199,68 @@ def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
             best = q
             best_u = float(u)
     return best, best_u
+
+
+def backend() -> str:
+    """Name of the Bellman step implementation (there is one: numpy)."""
+    return "numpy"
+
+
+def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
+    """One backward Bellman step over every (state node, z node) pair.
+
+    Inputs are ``J_next`` (n_x, n_z), the z axis and the fields of
+    ``TransitionTables`` (shapes listed there). For each (x, u) and atom w
+    the continuation value is the corner-weighted sum of ``J_next`` at
+    z' = max(z, c(x, u)), interpolated along z. The z nodes split in two:
+
+    * at or above c(x, u), z' = z is a node, so each corner contributes
+      ``wt * J_next[node, jz]``; one gather per (atom, corner) fills a
+      z-major (n_z, n_x, n_u) buffer with all of them;
+    * below c(x, u), every z node shares z' = c(x, u), computed once per
+      (x, u) from the same buffer.
+
+    Each element sees the same operations in the same order as the scalar
+    loop (corners summed into an atom value, atoms summed weighted by their
+    probability), so tables are bit-reproducible. Returns the minimized
+    values (n_x, n_z) and the argmin action indices (n_x, n_z); ties go to
+    the lowest action index.
+    """
+    n_x, n_z = J_next.shape
+    n_u = cost.shape[1]
+    n_w = probs.shape[2]
+    n_c = corner_idx.shape[3]
+    J_z = np.ascontiguousarray(J_next.T, dtype=np.float64)  # (n_z, n_x)
+    # Flat positions of (cz_idx, x, u) and (cz_idx + 1, x, u) in a z-major buffer.
+    flat = np.arange(n_x * n_u).reshape(n_x, n_u)
+    at_lo = flat + cz_idx * (n_x * n_u)
+    at_hi = flat + np.minimum(cz_idx + 1, n_z - 1) * (n_x * n_u)
+    keep = 1.0 - cz_frac
+    q = np.zeros((n_z, n_x, n_u))   # z nodes at or above the stage cost
+    v = np.empty_like(q)
+    buf = np.empty_like(q)
+    buf_flat = buf.reshape(-1)
+    q_cost = np.zeros((n_x, n_u))   # z nodes below it: z' = c(x, u)
+    v_cost = np.empty((n_x, n_u))
+    for iw in range(n_w):
+        v.fill(0.0)
+        v_cost.fill(0.0)
+        for c in range(n_c):
+            # Contiguous copies: the gather and the broadcasts then run at stride 1.
+            wt = np.ascontiguousarray(corner_wt[:, :, iw, c])
+            np.take(J_z, np.ascontiguousarray(corner_idx[:, :, iw, c]), axis=1,
+                    out=buf)
+            v_cost += wt * (keep * buf_flat.take(at_lo) + cz_frac * buf_flat.take(at_hi))
+            buf *= wt
+            v += buf
+        p = np.ascontiguousarray(probs[:, :, iw])
+        v *= p
+        q += v
+        q_cost += p * v_cost
+    np.copyto(q, q_cost, where=z_axis[:, None, None] < cost)
+    best_u = np.argmin(q, axis=2)  # first occurrence: lowest action index
+    best = np.take_along_axis(q, best_u[..., None], axis=2)[..., 0]
+    return np.ascontiguousarray(best.T), np.ascontiguousarray(best_u.T)
 
 
 def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,

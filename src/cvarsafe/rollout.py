@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvar import Pmf, cvar_tail, var
-from .dp import PolicyTable, ValueTable, backup_q, value_iteration
+from .dp import PolicyTable, ValueTable, bellman_min, value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
 from .solver import DualSweep, risk_value
@@ -103,7 +103,7 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
 
     Controls are looked up at the nearest (x, z) grid node; with
     ``reoptimize`` they are instead re-minimized pointwise through
-    ``backup_q`` at the exact query point (slower, higher fidelity).
+    ``bellman_min`` at the exact query point (slower, higher fidelity).
     """
     n = int(num)
     horizon = model.horizon
@@ -128,8 +128,8 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
             j_next = policy.value_table.values[t + 1]
             u = np.empty(n)
             for i in range(n):
-                _, u[i] = _reoptimized_action(x[i], z[i], policy.s_star,
-                                              j_next, model, grid)
+                _, u[i] = bellman_min(x[i], z[i], policy.s_star, j_next,
+                                      model, grid)
         else:
             ix = grid.nearest_x_index(x)
             jz = grid.nearest_z_index(z)
@@ -141,15 +141,6 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
         shocks[:, t] = w
     y = np.maximum(zs[:, horizon], model.terminal_cost(states[:, horizon, :]))
     return RolloutBatch(int(seed), states, zs, acts, shocks, y + model.g_lower)
-
-
-def _reoptimized_action(x, z, s, j_next, model, grid):
-    best, best_u = np.inf, float(grid.action_axis[0])
-    for u in grid.action_axis:
-        q = backup_q(x, z, float(u), s, j_next, model, grid)
-        if q < best:
-            best, best_u = q, float(u)
-    return best, best_u
 
 
 def estimate_risk(batch: RolloutBatch, alpha, g_lower: float = 0.0,

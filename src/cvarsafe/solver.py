@@ -8,9 +8,10 @@ The pipeline:
      (the ``RiskSurface``: optimal value, its shift by g_lower, argmin s),
   3. threshold the surface at r to get the boolean ``SafeSetMask``.
 
-Dual-parameter solves are independent, so the sweep can run on a thread
-pool; the jitted sweep kernel releases the GIL. Results are assembled by
-index, so outputs do not depend on the worker count.
+Dual-parameter solves are independent, so the sweep can split the s axis
+across a thread pool; the numpy array operations of the Bellman step release
+the GIL. Results are assembled by index, so outputs do not depend on the
+worker count.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 from cvarsafe import cli
 from cvarsafe.artifacts import read_sweep
+from cvarsafe.config import resolve_config
 
 TINY_CONFIG = {
     "model": {"disturbance": "smoke"},
@@ -23,6 +24,19 @@ def tiny_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY_CONFIG))
     return str(path)
+
+
+def write_config(tmp_path, name, overrides):
+    path = tmp_path / name
+    path.write_text(json.dumps({**TINY_CONFIG, **overrides}))
+    return str(path)
+
+
+def truncate_sweep(sweep_dir, keep_rows):
+    """Keep the comment, the header and the first ``keep_rows`` data rows."""
+    csv = sweep_dir / "sweep.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:2 + keep_rows]))
 
 
 def read_tree(root):
@@ -94,6 +108,23 @@ class TestSafeSetsCommand:
         assert cli.main(["safe-sets", "--config", tiny_config,
                          "--out", str(out)]) == 1
 
+    def test_sweep_cut_to_one_row_is_refused(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        truncate_sweep(out, 1)
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+        assert "sweep_meta.json" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_sweep_with_another_s_axis_is_refused(self, tiny_config, tmp_path):
+        other = write_config(tmp_path, "other.json",
+                             {"grid": {**TINY_CONFIG["grid"], "s": 3}})
+        out = tmp_path / "run"
+        cli.main(["sweep", "--config", other, "--out", str(out)])
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+
     def test_alpha_r_overrides(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
@@ -132,6 +163,27 @@ class TestDeployCommand:
                       "--seed", "12"])
         assert read_tree(out1) == read_tree(out2)
 
+    def test_sweep_of_another_design_and_grid_is_refused(self, tiny_config,
+                                                          tmp_path, capsys):
+        other = write_config(tmp_path, "other.json", {
+            "model": {"design": "b", "disturbance": "smoke"},
+            "grid": {"x": [5, 5], "z": 4, "action": 3, "s": 3}})
+        base = tmp_path / "other"
+        assert cli.main(["sweep", "--config", other, "--out", str(base)]) == 0
+        out = tmp_path / "run"
+        assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
+                         "--sweep", str(base)]) == 1
+        assert "another grid" in capsys.readouterr().err
+        assert not (out / "deploy_summary.json").exists()
+
+    def test_sweep_cut_to_one_row_is_refused(self, tiny_config, tmp_path):
+        base = tmp_path / "base"
+        cli.main(["sweep", "--config", tiny_config, "--out", str(base)])
+        truncate_sweep(base, 1)
+        out = tmp_path / "run"
+        assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
+                         "--sweep", str(base)]) == 1
+
     def test_x0_override_out_of_bounds(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
@@ -162,11 +214,12 @@ class TestOracleCommand:
         empty.write_text('{"schema": 1, "instances": []}')
         assert cli.main(["oracle", "--corpus", str(empty)]) == 0
 
-    def test_write_corpus(self, tmp_path):
+    def test_write_corpus(self, tmp_path, capsys):
         target = tmp_path / "corpus.json"
         assert cli.main(["oracle", "--count", "3", "--seed", "2",
                          "--write-corpus", str(target)]) == 0
         assert json.loads(target.read_text())["schema"] == 1
+        assert "instance 2: alpha=0.5 ok" in capsys.readouterr().err
 
 
 class TestCompareDesignsCommand:
@@ -208,6 +261,23 @@ class TestConfigErrors:
         cfg.write_text("{not json")
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("grid", [{"z": "abc"}, {"s": 2.5},
+                                      {"x": [7, None]}])
+    def test_non_integer_grid_count(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        field = next(iter(grid))
+        assert f"config error: grid.{field}" in capsys.readouterr().err
+
+    def test_resolved_config_does_not_share_the_defaults(self):
+        cfg = resolve_config({})
+        cfg["deploy"]["x0"][0] = 9.0
+        cfg["grid"]["z"] = 3
+        assert resolve_config({})["deploy"]["x0"] == [2.5, 3.0]
+        assert resolve_config({})["grid"]["z"] == 11
 
     def test_pump_params_on_baseline_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -2,12 +2,58 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, Pmf, SystemModel, backup_q, bellman_min,
                       interp_xz, make_stormwater_model, precompute_transitions,
                       smoke_disturbance, terminal_value, value_iteration)
-from cvarsafe.dp import write_tables_csv
+from cvarsafe.dp import sweep_kernel, write_tables_csv
+from cvarsafe.grids import locate_batch
+
+
+def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
+    """Reference Bellman step: one scalar loop per (x, z, u, atom, corner)."""
+    n_x, n_z = J_next.shape
+    n_u = cost.shape[1]
+    n_w = probs.shape[2]
+    n_c = corner_idx.shape[3]
+    J_out = np.empty((n_x, n_z))
+    U_out = np.empty((n_x, n_z), dtype=np.int64)
+    for ix in range(n_x):
+        for jz in range(n_z):
+            best = np.inf
+            best_u = 0
+            for iu in range(n_u):
+                if z_axis[jz] >= cost[ix, iu]:
+                    k = jz
+                    f = 0.0
+                else:
+                    k = cz_idx[ix, iu]
+                    f = cz_frac[ix, iu]
+                kp = k + 1
+                if kp > n_z - 1:
+                    kp = n_z - 1
+                q = 0.0
+                for iw in range(n_w):
+                    p = probs[ix, iu, iw]
+                    if p == 0.0:
+                        continue
+                    v = 0.0
+                    for c in range(n_c):
+                        wt = corner_wt[ix, iu, iw, c]
+                        if wt == 0.0:
+                            continue
+                        node = corner_idx[ix, iu, iw, c]
+                        v += wt * ((1.0 - f) * J_next[node, k] + f * J_next[node, kp])
+                    q += p * v
+                if q < best:
+                    best = q
+                    best_u = iu
+            J_out[ix, jz] = best
+            U_out[ix, jz] = best_u
+    return J_out, U_out
 
 
 def line_model(horizon=2, step=0.5, cost_scale=0.25,
@@ -176,7 +222,7 @@ class TestValueIteration:
             prev = vtable.values
 
     def test_kernel_matches_pointwise_backup(self):
-        # the jitted sweep and the scalar interp path must agree bit-for-bit
+        # the vectorized sweep and the scalar interp path must agree bit-for-bit
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         vtable, ptable = value_iteration(0.5, model, grid)
@@ -199,6 +245,67 @@ class TestValueIteration:
                     got = interp_xz(grid, vtable.values[t],
                                     np.array([x]), float(z))
                     assert got == vtable.values[t][i, jz]
+
+
+# Weights and probabilities that are often exactly zero (padded atoms,
+# corners a transition does not touch).
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A small random Bellman step; with ``tie`` every action has the same
+    costs, probabilities and weights and J_next is constant, so all actions
+    tie exactly."""
+    n_x, n_z = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_u, n_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_c = draw(st.sampled_from([1, 2, 4]))
+    tie = draw(st.booleans())
+    z_axis = np.cumsum(np.concatenate(
+        [[0.0], draw(arrays(np.float64, n_z - 1, elements=st.floats(0.1, 1.0)))]))
+    # Stage costs on z nodes, between them and above the top node.
+    cost_values = st.one_of(st.sampled_from(z_axis.tolist()),
+                            st.floats(0.0, float(z_axis[-1]) + 1.0))
+    n_uf = 1 if tie else n_u
+    cost = draw(arrays(np.float64, (n_x, n_uf), elements=cost_values))
+    probs = draw(arrays(np.float64, (n_x, n_uf, n_w), elements=_weights))
+    if n_w > 1 and draw(st.booleans()):
+        probs[..., -1] = 0.0  # a zero-padded atom
+    corner_wt = draw(arrays(np.float64, (n_x, n_uf, n_w, n_c), elements=_weights))
+    if tie:
+        cost, probs, corner_wt = (np.repeat(a, n_u, axis=1).copy()
+                                  for a in (cost, probs, corner_wt))
+        J_next = np.full((n_x, n_z), draw(st.floats(0.0, 5.0)))
+    else:
+        J_next = draw(arrays(np.float64, (n_x, n_z), elements=st.floats(0.0, 5.0)))
+    corner_idx = draw(arrays(np.int64, (n_x, n_u, n_w, n_c),
+                             elements=st.integers(0, n_x - 1)))
+    cz_idx, cz_frac = locate_batch(z_axis, cost)
+    return tie, (J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac)
+
+
+class TestSweepKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_scalar_reference_exactly(self, case):
+        tie, args = case
+        values, action_idx = sweep_kernel(*args)
+        ref_values, ref_idx = sweep_loops(*args)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(action_idx, ref_idx)
+        assert action_idx.dtype == np.int64
+        if tie:
+            assert np.all(action_idx == 0)
+
+    def test_matches_scalar_reference_on_stormwater_grid(self):
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
+        trans = precompute_transitions(model, grid)
+        vtable, _ = value_iteration(0.5, model, grid, trans)
+        args = (vtable.values[1], grid.z_axis, trans.cost, trans.probs,
+                trans.corner_idx, trans.corner_wt, trans.cz_idx, trans.cz_frac)
+        for got, want in zip(sweep_kernel(*args), sweep_loops(*args)):
+            assert np.array_equal(got, want)
 
 
 class TestTableSerialization:
