@@ -20,6 +20,7 @@ __all__ = [
     "fmt",
     "write_json",
     "write_sweep",
+    "read_sweep_meta",
     "read_sweep",
     "write_surface_csv",
     "write_mask_csv",
@@ -45,9 +46,10 @@ def _x_columns(grid: AugmentedGrid):
 
 
 def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
-                config_hash: str) -> None:
+                config_hash: str, sweep_hash: str) -> None:
     """Persist a dual sweep: sweep.csv (one row per s, one column per state
-    node in row-major order) plus sweep_meta.json carrying the grid axes."""
+    node in row-major order) plus sweep_meta.json carrying the grid axes and
+    the hash of the sweep-defining config fields (``config.sweep_hash``)."""
     csv_path = f"{out_dir}/sweep.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"# config={config_hash}\n")
@@ -63,17 +65,30 @@ def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
         "z_axis": grid.z_axis.tolist(),
         "action_axis": grid.action_axis.tolist(),
         "s_axis": grid.s_axis.tolist(),
+        "sweep_hash": sweep_hash,
     }
     write_json(f"{out_dir}/sweep_meta.json", meta)
+
+
+def read_sweep_meta(out_dir) -> dict:
+    """The contents of sweep_meta.json; ValueError unless its schema version
+    is ``SCHEMA_VERSION``."""
+    with open(f"{out_dir}/sweep_meta.json") as fh:
+        meta = json.load(fh)
+    version = meta.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{out_dir}/sweep_meta.json has schema version "
+                         f"{version!r}, expected {SCHEMA_VERSION}")
+    return meta
 
 
 def read_sweep(out_dir):
     """Reconstruct (DualSweep, AugmentedGrid, config_hash) from a sweep dir.
 
-    Raises ValueError unless sweep.csv holds one row per s value of the
-    stored s axis, each with one value per stored state node."""
-    with open(f"{out_dir}/sweep_meta.json") as fh:
-        meta = json.load(fh)
+    Raises ValueError on another schema version, or unless sweep.csv holds
+    one row per s value of the stored s axis, each with one value per stored
+    state node."""
+    meta = read_sweep_meta(out_dir)
     grid = AugmentedGrid(
         x_axes=tuple(np.asarray(ax) for ax in meta["x_axes"]),
         z_axis=np.asarray(meta["z_axis"]),

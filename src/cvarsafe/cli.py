@@ -24,7 +24,7 @@ import numpy as np
 
 from . import artifacts, config as config_mod
 from .config import ConfigError
-from .dp import backend
+from .dp import backend, write_tables_csv
 from .oracle import (OracleError, OracleSizeError, exact_optimal_cvar,
                      generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
@@ -64,9 +64,10 @@ def _prepare(cfg):
     return model, grid, config_mod.config_hash(cfg)
 
 
-def _read_matching_sweep(sweep_dir, grid):
-    """Read a sweep and check that it was made on ``grid``: its stored x, z,
-    action and s axes must equal the configured ones."""
+def _read_matching_sweep(sweep_dir, cfg, grid):
+    """Read a sweep and check that it was made for ``cfg`` on ``grid``: its
+    stored x, z, action and s axes must equal the configured ones, and its
+    stored sweep hash that of the configured model and grid."""
     dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
     stored = (*sweep_grid.x_axes, sweep_grid.z_axis, sweep_grid.action_axis,
               sweep_grid.s_axis)
@@ -75,6 +76,12 @@ def _read_matching_sweep(sweep_dir, grid):
             np.array_equal(a, b) for a, b in zip(stored, wanted)):
         raise ValueError(f"the sweep in {sweep_dir} was made on another grid "
                          "than the configured one")
+    stored_hash = artifacts.read_sweep_meta(sweep_dir).get("sweep_hash")
+    wanted_hash = config_mod.sweep_hash(cfg)
+    if stored_hash != wanted_hash:
+        raise ValueError(f"the sweep in {sweep_dir} was made for another model "
+                         f"or grid config (sweep hash {stored_hash!r}, configured "
+                         f"{wanted_hash!r}); re-run `cvarsafe sweep`")
     return dsweep
 
 
@@ -85,16 +92,16 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     print(f"sweep: {grid.s_axis.size} dual parameters, backend={backend()}",
           file=sys.stderr)
-    dsweep = sweep(model, grid, threads=cfg["threads"], progress=True)
-    artifacts.write_sweep(args.out, dsweep, grid, chash)
+    write_tables = None
     if cfg["flags"]["persist_tables"]:
-        from .dp import precompute_transitions, value_iteration, write_tables_csv
-
-        trans = precompute_transitions(model, grid)
-        for s in grid.s_axis:
-            vtable, ptable = value_iteration(float(s), model, grid, trans)
+        def write_tables(s, vtable, ptable):
             write_tables_csv(f"{args.out}/tables_s={_fmt_level(s)}.csv",
                              vtable, ptable, grid, chash)
+
+    dsweep = sweep(model, grid, threads=cfg["threads"], progress=True,
+                   on_solve=write_tables)
+    artifacts.write_sweep(args.out, dsweep, grid, chash,
+                          config_mod.sweep_hash(cfg))
     print(f"sweep finished in {time.perf_counter() - t0:.2f}s -> {args.out}",
           file=sys.stderr)
     return 0
@@ -106,7 +113,7 @@ def cmd_safe_sets(args) -> int:
     config_mod.rs_within_range(cfg, model)
     sweep_dir = args.sweep or args.out
     try:
-        dsweep = _read_matching_sweep(sweep_dir, grid)
+        dsweep = _read_matching_sweep(sweep_dir, cfg, grid)
     except FileNotFoundError as exc:
         print(f"error: no sweep found in {sweep_dir} "
               f"(run `cvarsafe sweep` first): {exc}", file=sys.stderr)
@@ -150,7 +157,7 @@ def cmd_deploy(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     if args.sweep:
-        dsweep = _read_matching_sweep(args.sweep, grid)
+        dsweep = _read_matching_sweep(args.sweep, cfg, grid)
     else:
         dsweep = sweep(model, grid, threads=cfg["threads"])
     x0 = np.asarray(cfg["deploy"]["x0"], dtype=np.float64)

@@ -20,7 +20,7 @@ from .models import (StormwaterParams, SystemModel, default_disturbance,
                      design_params, make_stormwater_model, smoke_disturbance)
 
 __all__ = ["ConfigError", "load_config", "resolve_config", "config_hash",
-           "build_model", "build_grid"]
+           "sweep_hash", "build_model", "build_grid"]
 
 
 class ConfigError(ValueError):
@@ -153,12 +153,23 @@ def _validate(cfg: dict) -> None:
              "expected two coordinates")
 
 
+def _digest(obj) -> str:
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
 def config_hash(cfg: dict) -> str:
     """Hash of the semantic config: execution knobs (thread count) excluded
     so an artifact's identity does not depend on the parallelism degree."""
-    semantic = {k: v for k, v in cfg.items() if k != "threads"}
-    canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return _digest({k: v for k, v in cfg.items() if k != "threads"})
+
+
+def sweep_hash(cfg: dict) -> str:
+    """Hash of the fields that define a dual sweep (``model`` and ``grid``).
+
+    Risk levels, thresholds and deploy settings are left out, so a sweep
+    stays reusable under ``--alpha``/``--r`` overrides."""
+    return _digest({"model": cfg["model"], "grid": cfg["grid"]})
 
 
 def build_model(cfg: dict) -> SystemModel:

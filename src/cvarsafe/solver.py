@@ -72,11 +72,13 @@ class SafeSetMask:
 
 
 def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
-          progress: bool = False) -> DualSweep:
+          progress: bool = False, on_solve=None) -> DualSweep:
     """Run value iteration for every dual parameter on the s axis.
 
     The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
     ``threads`` bounds the worker count; any count yields identical output.
+    ``on_solve(s, value_table, policy_table)``, when given, is called with
+    each solve's full tables, from the worker thread that made them.
     """
     if grid.z_axis[0] != 0.0:
         raise ValueError("sweep requires a z axis starting at 0")
@@ -85,8 +87,10 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     v0 = np.empty((s_values.size, grid.n_xnodes))
 
     def solve_one(i: int):
-        vtable, _ = value_iteration(float(s_values[i]), model, grid, trans)
+        vtable, ptable = value_iteration(float(s_values[i]), model, grid, trans)
         v0[i] = vtable.values[0][:, 0]
+        if on_solve is not None:
+            on_solve(s_values[i], vtable, ptable)
         if progress:
             print(f"  solved s={s_values[i]:g} ({i + 1}/{s_values.size})",
                   file=sys.stderr, flush=True)

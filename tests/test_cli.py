@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from cvarsafe import cli
-from cvarsafe.artifacts import read_sweep
-from cvarsafe.config import resolve_config
+from cvarsafe import cli, dp, solver
+from cvarsafe.artifacts import SCHEMA_VERSION, read_sweep
+from cvarsafe.config import build_grid, build_model, load_config, resolve_config
 
 TINY_CONFIG = {
     "model": {"disturbance": "smoke"},
@@ -37,6 +37,14 @@ def truncate_sweep(sweep_dir, keep_rows):
     csv = sweep_dir / "sweep.csv"
     lines = csv.read_text().splitlines(keepends=True)
     csv.write_text("".join(lines[:2 + keep_rows]))
+
+
+def edit_sweep_meta(sweep_dir, edit):
+    """Rewrite sweep_meta.json after ``edit`` changed its parsed contents."""
+    path = sweep_dir / "sweep_meta.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
 
 
 def read_tree(root):
@@ -85,6 +93,35 @@ class TestSweepCommand:
         header = tables[0].read_text().splitlines()[2]
         assert header == "t,i0,i1,iz,value,action"
 
+    def test_persist_tables_solves_each_s_once(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "config.json",
+                            {"flags": {"persist_tables": True}})
+        calls = []
+        value_iteration = dp.value_iteration
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return value_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "value_iteration", counting)
+        monkeypatch.setattr(solver, "value_iteration", counting)
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", path, "--out", str(out),
+                         "--threads", "2"]) == 0
+        assert sorted(calls) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        monkeypatch.undo()
+        # Each file holds the tables of one plain value_iteration solve.
+        cfg = load_config(path)
+        model = build_model(cfg)
+        grid = build_grid(cfg, model)
+        chash = read_sweep(str(out))[2]
+        for s in grid.s_axis:
+            ref = tmp_path / "ref.csv"
+            dp.write_tables_csv(str(ref), *dp.value_iteration(float(s), model, grid),
+                                grid, chash)
+            got = out / f"tables_s={float(s)!r}.csv"
+            assert got.read_bytes() == ref.read_bytes()
+
 
 class TestSafeSetsCommand:
     def test_masks_and_summary(self, tiny_config, tmp_path):
@@ -124,6 +161,39 @@ class TestSafeSetsCommand:
         cli.main(["sweep", "--config", other, "--out", str(out)])
         assert cli.main(["safe-sets", "--config", tiny_config,
                          "--out", str(out)]) == 1
+
+    def test_sweep_of_another_design_on_the_same_axes_is_refused(
+            self, tiny_config, tmp_path, capsys):
+        other = write_config(tmp_path, "other.json", {
+            "model": {"design": "c", "disturbance": "smoke"}})
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", other, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+        assert "another model or grid config" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_sweep_without_a_sweep_hash_is_refused(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        edit_sweep_meta(out, lambda meta: meta.pop("sweep_hash"))
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+
+    def test_sweep_of_another_schema_version_is_refused(self, tiny_config,
+                                                        tmp_path, capsys):
+        out = tmp_path / "run"
+        cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        edit_sweep_meta(out, lambda meta: meta.update(
+            schema_version=SCHEMA_VERSION + 1))
+        with pytest.raises(ValueError, match="schema version"):
+            read_sweep(str(out))
+        capsys.readouterr()
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+        assert (f"schema version {SCHEMA_VERSION + 1}, expected {SCHEMA_VERSION}"
+                in capsys.readouterr().err)
 
     def test_alpha_r_overrides(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -174,6 +244,19 @@ class TestDeployCommand:
         assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
                          "--sweep", str(base)]) == 1
         assert "another grid" in capsys.readouterr().err
+        assert not (out / "deploy_summary.json").exists()
+
+    def test_sweep_of_another_design_on_the_same_axes_is_refused(
+            self, tiny_config, tmp_path, capsys):
+        other = write_config(tmp_path, "other.json", {
+            "model": {"design": "d", "disturbance": "smoke"}})
+        base = tmp_path / "other"
+        assert cli.main(["sweep", "--config", other, "--out", str(base)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
+                         "--sweep", str(base)]) == 1
+        assert "another model or grid config" in capsys.readouterr().err
         assert not (out / "deploy_summary.json").exists()
 
     def test_sweep_cut_to_one_row_is_refused(self, tiny_config, tmp_path):

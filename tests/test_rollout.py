@@ -1,5 +1,8 @@
 """Policy synthesis and Monte Carlo rollout tests."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +11,16 @@ from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, estimate_risk,
                       generate_corpus, g_k, make_stormwater_model, risk_value,
                       rollout, smoke_disturbance, sweep, synthesize_policy)
 from cvarsafe.models import design_params
+
+# The module, not the function of the same name that the package exports.
+rollout_mod = importlib.import_module("cvarsafe.rollout")
+
+BATCH_FIELDS = ("states", "zs", "actions", "shocks", "y_prime")
+
+
+def assert_same_batch(got, want):
+    for name in BATCH_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def small_setup(disturbance=None):
@@ -92,6 +105,53 @@ class TestRollout:
         policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 4, seed=2, model=model, reoptimize=True)
         assert np.all(np.isin(batch.actions, grid.action_axis))
+
+
+class TestBlockInvariance:
+    """Records do not depend on how many rollouts advance together."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_does_not_change_records(self, monkeypatch, block):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 3.5]), 0.5, ds, model, grid)
+        want = rollout(policy, 300, seed=4, model=model)  # 300 % 7 != 0
+        monkeypatch.setattr(rollout_mod, "_BLOCK", block)
+        assert_same_batch(rollout(policy, 300, seed=4, model=model), want)
+
+    def test_several_default_blocks_match_one_block(self, monkeypatch):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 3.5]), 0.5, ds, model, grid)
+        num = 2 * rollout_mod._BLOCK + 3
+        want = rollout(policy, num, seed=6, model=model)
+        monkeypatch.setattr(rollout_mod, "_BLOCK", num + 1)
+        assert_same_batch(rollout(policy, num, seed=6, model=model), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_reoptimized_rollouts(self, monkeypatch, block):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
+        want = rollout(policy, 9, seed=2, model=model, reoptimize=True)
+        monkeypatch.setattr(rollout_mod, "_BLOCK", block)
+        assert_same_batch(
+            rollout(policy, 9, seed=2, model=model, reoptimize=True), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_state_dependent_law_without_batch_sampler(self, monkeypatch, block):
+        # A callable law without disturbance_batch: every rollout samples
+        # its shock from the Pmf of its own (x, u), one element at a time.
+        base, grid, _ = small_setup()
+        wet = Pmf([10.0, 14.0, 18.0], [0.2, 0.5, 0.3])
+        dry = smoke_disturbance()
+        model = dataclasses.replace(
+            base, disturbance=lambda x, u: wet if x[0] > 3.3 else dry)
+        assert model.static_disturbance is None
+        assert model.disturbance_batch is None
+        policy = synthesize_policy(np.array([3.0, 3.5]), 0.5,
+                                   sweep(model, grid), model, grid)
+        want = rollout(policy, 50, seed=8, model=model)
+        assert np.unique(want.shocks).size == 5  # both laws were sampled
+        monkeypatch.setattr(rollout_mod, "_BLOCK", block)
+        assert_same_batch(rollout(policy, 50, seed=8, model=model), want)
 
 
 class TestEstimateRisk:
