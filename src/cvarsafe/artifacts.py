@@ -2,22 +2,26 @@
 
 Every file is byte-reproducible: floats are written with ``repr`` (shortest
 round-trip form), JSON keys are sorted, and each artifact embeds the
-resolved configuration hash. Timing never goes into artifacts; it is
-printed to stderr by the CLI instead.
+resolved configuration hash. Every CSV goes through ``write_csv``, the one
+place that lays out its lines and formats its cells. Timing never goes into
+artifacts; it is printed to stderr by the CLI instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
+from .dp import PolicyTable, ValueTable
 from .grids import AugmentedGrid
 from .rollout import RolloutBatch
 from .solver import DualSweep, RiskSurface, SafeSetMask
 
 __all__ = [
     "fmt",
+    "write_csv",
     "write_json",
     "write_sweep",
     "read_sweep_meta",
@@ -25,6 +29,7 @@ __all__ = [
     "write_surface_csv",
     "write_mask_csv",
     "write_rollouts_csv",
+    "write_tables_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -33,6 +38,27 @@ SCHEMA_VERSION = 1
 def fmt(v) -> str:
     """Shortest exact decimal form of a float (round-trips through float())."""
     return repr(float(v))
+
+
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return fmt(v)
+    return "" if v is None else str(v)
+
+
+def write_csv(path, config_hash: str, columns, rows, comments=()) -> None:
+    """Write a CSV artifact: a ``# config=<hash>`` line, one ``# key=value``
+    line per ``(key, value)`` pair of ``comments``, the header, then one line
+    per row. A float cell is written with ``fmt``, ``None`` as an empty cell
+    and anything else with ``str``; pass ``.tolist()`` values so that array
+    entries arrive as Python ints and floats."""
+    with open(path, "w") as fh:
+        fh.write(f"# config={config_hash}\n")
+        for key, value in comments:
+            fh.write(f"# {key}={_cell(value)}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_json(path, obj) -> None:
@@ -50,14 +76,9 @@ def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
     """Persist a dual sweep: sweep.csv (one row per s, one column per state
     node in row-major order) plus sweep_meta.json carrying the grid axes and
     the hash of the sweep-defining config fields (``config.sweep_hash``)."""
-    csv_path = f"{out_dir}/sweep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"# config={config_hash}\n")
-        header = ",".join(["s"] + [f"v{j}" for j in range(dsweep.v0.shape[1])])
-        fh.write(header + "\n")
-        for i, s in enumerate(dsweep.s_values):
-            row = ",".join([fmt(s)] + [fmt(v) for v in dsweep.v0[i]])
-            fh.write(row + "\n")
+    columns = ["s"] + [f"v{j}" for j in range(dsweep.v0.shape[1])]
+    rows = ((s, *v) for s, v in zip(dsweep.s_values.tolist(), dsweep.v0.tolist()))
+    write_csv(f"{out_dir}/sweep.csv", config_hash, columns, rows)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config_hash,
@@ -113,26 +134,16 @@ def read_sweep(out_dir):
 
 def write_surface_csv(path, surface: RiskSurface, grid: AugmentedGrid,
                       config_hash: str) -> None:
-    nodes = grid.x_nodes()
-    with open(path, "w") as fh:
-        fh.write(f"# config={config_hash}\n")
-        fh.write(",".join(_x_columns(grid) + ["v_star", "w_star", "s_star"]) + "\n")
-        for j in range(nodes.shape[0]):
-            coords = [fmt(c) for c in nodes[j]]
-            fh.write(",".join(coords + [fmt(surface.v_star[j]),
-                                        fmt(surface.w_star[j]),
-                                        fmt(surface.s_star[j])]) + "\n")
+    rows = zip(*grid.x_nodes().T.tolist(), surface.v_star.tolist(),
+               surface.w_star.tolist(), surface.s_star.tolist())
+    write_csv(path, config_hash,
+              _x_columns(grid) + ["v_star", "w_star", "s_star"], rows)
 
 
 def write_mask_csv(path, mask: SafeSetMask, grid: AugmentedGrid,
                    config_hash: str) -> None:
-    nodes = grid.x_nodes()
-    with open(path, "w") as fh:
-        fh.write(f"# config={config_hash}\n")
-        fh.write(",".join(_x_columns(grid) + ["in_set"]) + "\n")
-        for j in range(nodes.shape[0]):
-            coords = [fmt(c) for c in nodes[j]]
-            fh.write(",".join(coords + [str(int(mask.mask[j]))]) + "\n")
+    rows = zip(*grid.x_nodes().T.tolist(), mask.mask.astype(int).tolist())
+    write_csv(path, config_hash, _x_columns(grid) + ["in_set"], rows)
 
 
 def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str,
@@ -142,17 +153,36 @@ def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str,
     batches (summary statistics always cover the whole batch)."""
     num = batch.num if max_rollouts is None else min(batch.num, int(max_rollouts))
     dim = batch.states.shape[2]
-    horizon = batch.actions.shape[1]
-    cols = ["rollout_id", "t"] + [f"x{d + 1}" for d in range(dim)] + ["z", "u", "w"]
-    with open(path, "w") as fh:
-        fh.write(f"# config={config_hash}\n")
-        fh.write(",".join(cols) + "\n")
+
+    def rows():  # one rollout's values at a time
         for i in range(num):
-            for t in range(horizon + 1):
-                coords = [fmt(c) for c in batch.states[i, t]]
-                if t < horizon:
-                    tail = [fmt(batch.actions[i, t]), fmt(batch.shocks[i, t])]
-                else:
-                    tail = ["", ""]
-                fh.write(",".join([str(i), str(t)] + coords +
-                                  [fmt(batch.zs[i, t])] + tail) + "\n")
+            us = batch.actions[i].tolist() + [None]
+            ws = batch.shocks[i].tolist() + [None]
+            for t, (x, z, u, w) in enumerate(zip(batch.states[i].tolist(),
+                                                 batch.zs[i].tolist(), us, ws)):
+                yield (i, t, *x, z, u, w)
+
+    cols = ["rollout_id", "t"] + [f"x{d + 1}" for d in range(dim)] + ["z", "u", "w"]
+    write_csv(path, config_hash, cols, rows())
+
+
+def write_tables_csv(path, vtable: ValueTable, ptable: PolicyTable,
+                     grid: AugmentedGrid, config_hash: str) -> None:
+    """Value/policy tables in a stable long format, one row per (t, state
+    indices..., z index): ``t,i0,...,iz,value,action`` where ``action`` is
+    the grid action value (empty at the terminal step, which has no
+    policy)."""
+    horizon = ptable.action_idx.shape[0]
+    nodes = list(itertools.product(*map(range, grid.x_shape),
+                                   range(grid.z_axis.size)))
+
+    def rows():  # one time layer's values at a time
+        for t, table in enumerate(vtable.values):
+            actions = (grid.action_axis[ptable.action_idx[t]].ravel().tolist()
+                       if t < horizon else [None] * len(nodes))
+            for node, value, action in zip(nodes, table.ravel().tolist(), actions):
+                yield (t, *node, value, action)
+
+    columns = (["t"] + [f"i{d}" for d in range(grid.state_dim)]
+               + ["iz", "value", "action"])
+    write_csv(path, config_hash, columns, rows(), comments=[("s", vtable.s)])

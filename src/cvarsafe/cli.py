@@ -24,7 +24,7 @@ import numpy as np
 
 from . import artifacts, config as config_mod
 from .config import ConfigError
-from .dp import backend, write_tables_csv
+from .dp import backend
 from .oracle import (OracleError, OracleSizeError, exact_optimal_cvar,
                      generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
@@ -33,16 +33,12 @@ from .solver import extract_safe_set, risk_value, sweep
 _ORACLE_ALPHAS = (0.05, 0.25, 0.5, 0.99, 1.0)
 
 
-def _fmt_level(value: float) -> str:
-    return repr(float(value))
-
-
 def _load(args):
     try:
         cfg = config_mod.load_config(args.config)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         cfg["threads"] = int(args.threads)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = int(args.seed)
@@ -95,8 +91,9 @@ def cmd_sweep(args) -> int:
     write_tables = None
     if cfg["flags"]["persist_tables"]:
         def write_tables(s, vtable, ptable):
-            write_tables_csv(f"{args.out}/tables_s={_fmt_level(s)}.csv",
-                             vtable, ptable, grid, chash)
+            artifacts.write_tables_csv(
+                f"{args.out}/tables_s={artifacts.fmt(s)}.csv",
+                vtable, ptable, grid, chash)
 
     dsweep = sweep(model, grid, threads=cfg["threads"], progress=True,
                    on_solve=write_tables)
@@ -123,15 +120,15 @@ def cmd_safe_sets(args) -> int:
     counts = {}
     for alpha in cfg["alphas"]:
         surface = risk_value(dsweep, alpha, model.g_lower)
-        a_tag = _fmt_level(alpha)
+        a_tag = artifacts.fmt(alpha)
         artifacts.write_surface_csv(
             f"{args.out}/surface_alpha={a_tag}.csv", surface, grid, chash)
         for r in cfg["rs"]:
             mask = extract_safe_set(surface, r)
             artifacts.write_mask_csv(
-                f"{args.out}/mask_alpha={a_tag}_r={_fmt_level(r)}.csv",
+                f"{args.out}/mask_alpha={a_tag}_r={artifacts.fmt(r)}.csv",
                 mask, grid, chash)
-            counts[f"alpha={a_tag},r={_fmt_level(r)}"] = mask.cell_count
+            counts[f"alpha={a_tag},r={artifacts.fmt(r)}"] = mask.cell_count
     summary = {
         "schema_version": artifacts.SCHEMA_VERSION,
         "config_hash": chash,
@@ -274,21 +271,17 @@ def cmd_compare_designs(args) -> int:
             for r in cfg["rs"]:
                 n = counts[(design, alpha, r)]
                 base = counts[("a", alpha, r)]
-                ratio = (n - base) / base if base else ""
-                rows.append((design, alpha, r, n, ratio))
-    with open(f"{args.out}/design_counts.csv", "w") as fh:
-        fh.write(f"# config={chash}\n")
-        fh.write("design,alpha,r,cells,ratio_vs_a\n")
-        for design, alpha, r, n, ratio in rows:
-            tail = artifacts.fmt(ratio) if ratio != "" else ""
-            fh.write(f"{design},{_fmt_level(alpha)},{_fmt_level(r)},{n},{tail}\n")
+                ratio = (n - base) / base if base else None
+                rows.append((design, float(alpha), float(r), n, ratio))
+    artifacts.write_csv(f"{args.out}/design_counts.csv", chash,
+                        ["design", "alpha", "r", "cells", "ratio_vs_a"], rows)
     summary = {
         "schema_version": artifacts.SCHEMA_VERSION,
         "config_hash": chash,
         "alphas": [float(a) for a in cfg["alphas"]],
         "rs": [float(r) for r in cfg["rs"]],
-        "cells": {f"{d},alpha={_fmt_level(a)},r={_fmt_level(r)}": counts[(d, a, r)]
-                  for (d, a, r) in counts},
+        "cells": {f"{d},alpha={artifacts.fmt(a)},r={artifacts.fmt(r)}": n
+                  for (d, a, r), n in counts.items()},
     }
     artifacts.write_json(f"{args.out}/compare_summary.json", summary)
     print(f"compare-designs finished in {time.perf_counter() - t0:.2f}s "

@@ -144,8 +144,8 @@ def _validate(cfg: dict) -> None:
     _require(isinstance(cfg["rs"], list) and cfg["rs"], "rs",
              "must be a nonempty list")
     cfg["threads"] = _count(cfg["threads"], "threads", 1)
-    cfg["deploy"]["rollouts"] = _count(cfg["deploy"]["rollouts"],
-                                       "deploy.rollouts", 0)
+    for key in ("rollouts", "csv_max"):
+        cfg["deploy"][key] = _count(cfg["deploy"][key], f"deploy.{key}", 0)
     _require(0.0 < float(cfg["deploy"]["alpha"]) <= 1.0, "deploy.alpha",
              "must be in (0, 1]")
     x0 = cfg["deploy"]["x0"]

@@ -32,7 +32,6 @@ __all__ = [
     "backup_q",
     "bellman_min",
     "value_iteration",
-    "write_tables_csv",
 ]
 
 
@@ -58,9 +57,6 @@ class PolicyTable:
 
     s: float
     action_idx: np.ndarray  # (N, n_xnodes, n_z), int64
-
-    def actions(self, grid: AugmentedGrid) -> np.ndarray:
-        return grid.action_axis[self.action_idx]
 
 
 @dataclass(frozen=True)
@@ -287,34 +283,3 @@ def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,
         values[t] = J
         action_idx[t] = U
     return ValueTable(float(s), values), PolicyTable(float(s), action_idx)
-
-
-def write_tables_csv(path, vtable: ValueTable, ptable: PolicyTable,
-                     grid: AugmentedGrid, config_hash: str = ""):
-    """Serialize value/policy tables as CSV.
-
-    Stable long format, one row per (t, state indices..., z index):
-    ``t,i0,...,iz,value,action`` where ``action`` is the grid action value
-    (empty at the terminal step, which has no policy).
-    """
-    dim = grid.state_dim
-    shape = grid.x_shape
-    n_z = grid.z_axis.size
-    horizon = ptable.action_idx.shape[0]
-    idx_cols = ",".join(f"i{d}" for d in range(dim))
-    with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
-        fh.write(f"# s={vtable.s!r}\n")
-        fh.write(f"t,{idx_cols},iz,value,action\n")
-        for t in range(horizon + 1):
-            table = vtable.values[t]
-            for flat in range(table.shape[0]):
-                multi = np.unravel_index(flat, shape)
-                prefix = ",".join(str(i) for i in multi)
-                for jz in range(n_z):
-                    if t < horizon:
-                        act = repr(float(grid.action_axis[ptable.action_idx[t, flat, jz]]))
-                    else:
-                        act = ""
-                    fh.write(f"{t},{prefix},{jz},{table[flat, jz]!r},{act}\n")

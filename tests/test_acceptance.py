@@ -11,7 +11,6 @@ zero-variance (deterministic) batches compare exactly.
 """
 
 import json
-import os
 import time
 from importlib import resources
 
@@ -25,6 +24,7 @@ from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, cvar_tail,
                       q_pump_piecewise, risk_value, rollout, smoke_disturbance,
                       sweep, synthesize_policy, transition)
 from cvarsafe import cli
+from test_cli import read_tree
 
 COARSE = {"x": (25, 25), "z": 11, "action": 11, "s": 21}
 FLOAT_SLACK = 1e-12
@@ -280,14 +280,6 @@ def test_c9_cli_determinism(tmp_path):
         "rs": [0.2, 1.0],
         "deploy": {"x0": [2.5, 3.0], "alpha": 0.5, "rollouts": 200},
     }))
-
-    def read_tree(root):
-        out = {}
-        for dirpath, _, files in os.walk(root):
-            for name in files:
-                full = os.path.join(dirpath, name)
-                out[os.path.relpath(full, root)] = open(full, "rb").read()
-        return out
 
     def run(tag, threads):
         out = tmp_path / tag

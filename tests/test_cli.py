@@ -1,13 +1,14 @@
 """End-to-end CLI tests: artifacts, determinism, error paths."""
 
 import json
-import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvarsafe import cli, dp, solver
-from cvarsafe.artifacts import SCHEMA_VERSION, read_sweep
+from cvarsafe.artifacts import SCHEMA_VERSION, read_sweep, write_tables_csv
 from cvarsafe.config import build_grid, build_model, load_config, resolve_config
 
 TINY_CONFIG = {
@@ -48,12 +49,20 @@ def edit_sweep_meta(sweep_dir, edit):
 
 
 def read_tree(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in files:
-            full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
-    return out
+    """The bytes of every file under ``root``, keyed by its relative path."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+def is_canonical_cell(cell):
+    """An integer, an empty cell, a design letter, or a float written in its
+    shortest round-trip form."""
+    if cell in ("", "a", "b", "c", "d") or re.fullmatch(r"-?[0-9]+", cell):
+        return True
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return False
 
 
 class TestSweepCommand:
@@ -82,16 +91,27 @@ class TestSweepCommand:
         assert read_tree(out1)["sweep.csv"] == read_tree(out2)["sweep.csv"]
 
     def test_persist_tables_flag(self, tmp_path):
-        cfg = dict(TINY_CONFIG)
-        cfg["flags"] = {"persist_tables": True}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
+        path = write_config(tmp_path, "config.json",
+                            {"flags": {"persist_tables": True}})
         out = tmp_path / "run"
-        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
         tables = sorted(out.glob("tables_s=*.csv"))
         assert len(tables) == 5  # one per dual parameter
         header = tables[0].read_text().splitlines()[2]
         assert header == "t,i0,i1,iz,value,action"
+        # Every CSV the commands write carries the config hash and only
+        # canonical cells.
+        for command in (["safe-sets"], ["deploy", "--sweep", str(out)],
+                        ["compare-designs"]):
+            assert cli.main(command + ["--config", path, "--out", str(out)]) == 0
+        chash = read_sweep(str(out))[2]
+        for csv in sorted(out.glob("*.csv")):
+            lines = csv.read_text().splitlines()
+            assert lines[0] == f"# config={chash}", csv.name
+            data = lines[3:] if lines[1].startswith("# s=") else lines[2:]
+            bad = [c for line in data for c in line.split(",")
+                   if not is_canonical_cell(c)]
+            assert not bad, (csv.name, bad[:3])
 
     def test_persist_tables_solves_each_s_once(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "config.json",
@@ -117,8 +137,8 @@ class TestSweepCommand:
         chash = read_sweep(str(out))[2]
         for s in grid.s_axis:
             ref = tmp_path / "ref.csv"
-            dp.write_tables_csv(str(ref), *dp.value_iteration(float(s), model, grid),
-                                grid, chash)
+            write_tables_csv(str(ref), *dp.value_iteration(float(s), model, grid),
+                             grid, chash)
             got = out / f"tables_s={float(s)!r}.csv"
             assert got.read_bytes() == ref.read_bytes()
 
@@ -354,6 +374,20 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "o")]) == 2
         field = next(iter(grid))
         assert f"config error: grid.{field}" in capsys.readouterr().err
+
+    def test_zero_threads_rejected(self, tiny_config, tmp_path, capsys):
+        assert cli.main(["sweep", "--config", tiny_config, "--threads", "0",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "threads: count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv_max", ["lots", 2.5])
+    def test_non_integer_csv_max(self, tmp_path, capsys, csv_max):
+        path = write_config(tmp_path, "config.json", {"deploy": {
+            **TINY_CONFIG["deploy"], "csv_max": csv_max}})
+        out = tmp_path / "o"
+        assert cli.main(["deploy", "--config", path, "--out", str(out)]) == 2
+        assert "config error: deploy.csv_max" in capsys.readouterr().err
+        assert not out.exists()  # refused before the sweep ran
 
     def test_resolved_config_does_not_share_the_defaults(self):
         cfg = resolve_config({})

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from cvarsafe import (AugmentedGrid, Pmf, SystemModel, backup_q, bellman_min,
                       interp_xz, make_stormwater_model, precompute_transitions,
                       smoke_disturbance, terminal_value, value_iteration)
-from cvarsafe.dp import sweep_kernel, write_tables_csv
+from cvarsafe.artifacts import write_tables_csv
+from cvarsafe.dp import sweep_kernel
 from cvarsafe.grids import locate_batch
 
 

@@ -183,14 +183,16 @@ class TestEstimateRisk:
 class TestMonteCarloConsistency:
     def test_oracle_instance_mean_excess_matches_dp(self):
         # exact-grid instance: the rollout mean of max(Y - s*, 0) estimates
-        # J_0 with no interpolation bias
-        inst = generate_corpus(seed=17, count=3)[1]
+        # J_0 with no interpolation bias. Its law has two atoms, so the
+        # rollouts differ and the excess has a positive mean and stderr.
+        inst = generate_corpus(seed=17, count=4)[3]
         model, grid = inst.to_model_and_grid()
         ds = sweep(model, grid)
-        alpha = 0.3
+        alpha = 0.5
         x0 = np.array([inst.states[inst.x0]])
         policy = synthesize_policy(x0, alpha, ds, model, grid)
         batch = rollout(policy, 200_000, seed=11, model=model)
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
+        assert policy.dp_value > 0 and stats["excess_stderr"] > 0
         gap = abs(stats["excess_hat"] - policy.dp_value)
         assert gap <= 3.0 * stats["excess_stderr"] + 1e-9
