@@ -42,16 +42,26 @@ def _load(args):
         cfg["threads"] = int(args.threads)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = int(args.seed)
-    if getattr(args, "alpha", None):
-        cfg["alphas"] = [float(a) for a in args.alpha.split(",")]
-    if getattr(args, "r", None):
-        cfg["rs"] = [float(r) for r in args.r.split(",")]
-    if getattr(args, "x0", None):
-        cfg["deploy"]["x0"] = [float(v) for v in args.x0.split(",")]
+    if getattr(args, "alpha", None) is not None:
+        cfg["alphas"] = _numbers(args.alpha, "alphas")
+    if getattr(args, "r", None) is not None:
+        cfg["rs"] = _numbers(args.r, "rs")
+    if getattr(args, "x0", None) is not None:
+        cfg["deploy"]["x0"] = _numbers(args.x0, "deploy.x0")
+    if getattr(args, "deploy_alpha", None) is not None:
+        cfg["deploy"]["alpha"] = args.deploy_alpha
     if getattr(args, "rollouts", None) is not None:
         cfg["deploy"]["rollouts"] = int(args.rollouts)
     config_mod.resolve_config(cfg)  # re-validate after overrides
     return cfg
+
+
+def _numbers(text, where):
+    """Comma-separated floats; text that does not parse is a ConfigError."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _prepare(cfg):
@@ -64,7 +74,11 @@ def _read_matching_sweep(sweep_dir, cfg, grid):
     """Read a sweep and check that it was made for ``cfg`` on ``grid``: its
     stored x, z, action and s axes must equal the configured ones, and its
     stored sweep hash that of the configured model and grid."""
-    dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
+    try:
+        dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"no sweep found in {sweep_dir} (run `cvarsafe "
+                                f"sweep` first): {exc}") from exc
     stored = (*sweep_grid.x_axes, sweep_grid.z_axis, sweep_grid.action_axis,
               sweep_grid.s_axis)
     wanted = (*grid.x_axes, grid.z_axis, grid.action_axis, grid.s_axis)
@@ -109,12 +123,7 @@ def cmd_safe_sets(args) -> int:
     model, grid, chash = _prepare(cfg)
     config_mod.rs_within_range(cfg, model)
     sweep_dir = args.sweep or args.out
-    try:
-        dsweep = _read_matching_sweep(sweep_dir, cfg, grid)
-    except FileNotFoundError as exc:
-        print(f"error: no sweep found in {sweep_dir} "
-              f"(run `cvarsafe sweep` first): {exc}", file=sys.stderr)
-        return 1
+    dsweep = _read_matching_sweep(sweep_dir, cfg, grid)
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     counts = {}
@@ -147,10 +156,8 @@ def cmd_safe_sets(args) -> int:
 
 def cmd_deploy(args) -> int:
     cfg = _load(args)
-    if getattr(args, "deploy_alpha", None) is not None:
-        cfg["deploy"]["alpha"] = float(args.deploy_alpha)
-        config_mod.resolve_config(cfg)
     model, grid, chash = _prepare(cfg)
+    config_mod.x0_within_bounds(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     if args.sweep:
@@ -193,7 +200,9 @@ def cmd_oracle(args) -> int:
         except (ValueError, json.JSONDecodeError) as exc:
             print(f"error: corpus parse failed: {exc}", file=sys.stderr)
             return 2
-    elif args.count:
+    elif args.count is not None:
+        if args.count < 0:
+            raise ConfigError(f"--count: must be >= 0, got {args.count}")
         instances = generate_corpus(args.seed, args.count)
     else:
         instances = _default_corpus()

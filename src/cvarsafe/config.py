@@ -10,9 +10,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import fields as dataclass_fields
-
-import numpy as np
 
 from .cvar import Pmf
 from .grids import AugmentedGrid
@@ -103,6 +102,15 @@ def _count(value, where, minimum):
     return n
 
 
+def _number(value, where):
+    """``value`` as written (so the config hash does not change) if it is a
+    finite int or float and not a bool, else a ConfigError naming ``where``."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(ok and abs(value) < math.inf, where,
+             f"expected a finite number, got {value!r}")
+    return value
+
+
 def _validate(cfg: dict) -> None:
     """Check every field, naming its path on failure; counts are converted
     to ints in place."""
@@ -139,18 +147,22 @@ def _validate(cfg: dict) -> None:
         grid[axis] = _count(grid[axis], f"grid.{axis}", 2)
     _require(isinstance(cfg["alphas"], list) and cfg["alphas"], "alphas",
              "must be a nonempty list")
-    for i, a in enumerate(cfg["alphas"]):
-        _require(0.0 < float(a) <= 1.0, f"alphas[{i}]", f"must be in (0, 1], got {a!r}")
     _require(isinstance(cfg["rs"], list) and cfg["rs"], "rs",
              "must be a nonempty list")
-    cfg["threads"] = _count(cfg["threads"], "threads", 1)
-    for key in ("rollouts", "csv_max"):
-        cfg["deploy"][key] = _count(cfg["deploy"][key], f"deploy.{key}", 0)
-    _require(0.0 < float(cfg["deploy"]["alpha"]) <= 1.0, "deploy.alpha",
-             "must be in (0, 1]")
     x0 = cfg["deploy"]["x0"]
     _require(isinstance(x0, list) and len(x0) == 2, "deploy.x0",
              "expected two coordinates")
+    for field, values in (("alphas", cfg["alphas"]), ("rs", cfg["rs"]),
+                          ("deploy.x0", x0)):
+        for i, v in enumerate(values):
+            _number(v, f"{field}[{i}]")
+    for i, a in enumerate(cfg["alphas"]):
+        _require(0.0 < a <= 1.0, f"alphas[{i}]", f"must be in (0, 1], got {a!r}")
+    cfg["threads"] = _count(cfg["threads"], "threads", 1)
+    for key in ("rollouts", "csv_max"):
+        cfg["deploy"][key] = _count(cfg["deploy"][key], f"deploy.{key}", 0)
+    _require(0.0 < _number(cfg["deploy"]["alpha"], "deploy.alpha") <= 1.0,
+             "deploy.alpha", "must be in (0, 1]")
 
 
 def _digest(obj) -> str:
@@ -207,3 +219,10 @@ def rs_within_range(cfg: dict, model: SystemModel) -> None:
     for i, r in enumerate(cfg["rs"]):
         _require(lo <= float(r) <= hi, f"rs[{i}]",
                  f"must be in [{lo}, {hi}], got {r!r}")
+
+
+def x0_within_bounds(cfg: dict, model: SystemModel) -> None:
+    """Check ``deploy.x0`` against the model's state box."""
+    for d, (v, (lo, hi)) in enumerate(zip(cfg["deploy"]["x0"], model.state_bounds)):
+        _require(lo <= v <= hi, f"deploy.x0[{d}]",
+                 f"must be in [{lo}, {hi}], got {v!r}")

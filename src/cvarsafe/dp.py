@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AugmentedGrid, interp_xz, locate, locate_batch
+from .grids import AugmentedGrid, interp_xz, locate_batch
 from .models import SystemModel
 
 __all__ = [
@@ -72,29 +72,6 @@ class TransitionTables:
     terminal: np.ndarray    # (n_x,)
 
 
-def _gather_disturbances(model: SystemModel, nodes: np.ndarray, actions: np.ndarray):
-    """Atom values and probabilities per (node, action), padded to max width."""
-    static = model.static_disturbance
-    n_x, n_u = nodes.shape[0], actions.size
-    if static is not None:
-        n_w = len(static)
-        w_vals = np.broadcast_to(static.values, (n_x, n_u, n_w)).copy()
-        probs = np.broadcast_to(static.probs, (n_x, n_u, n_w)).copy()
-        return w_vals, probs
-    pmfs = [[model.disturbance_at(nodes[i], actions[j]) for j in range(n_u)]
-            for i in range(n_x)]
-    n_w = max(len(p) for row in pmfs for p in row)
-    w_vals = np.zeros((n_x, n_u, n_w))
-    probs = np.zeros((n_x, n_u, n_w))
-    for i in range(n_x):
-        for j in range(n_u):
-            p = pmfs[i][j]
-            w_vals[i, j, : len(p)] = p.values
-            w_vals[i, j, len(p):] = p.values[0]  # pad with a valid atom
-            probs[i, j, : len(p)] = p.probs
-    return w_vals, probs
-
-
 def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> TransitionTables:
     """Evaluate dynamics, costs, and interpolation corners on the grid.
 
@@ -115,7 +92,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
             f"stage costs must lie in [0, {model.c_bar}], got range "
             f"[{cost.min()}, {cost.max()}]")
 
-    w_vals, probs = _gather_disturbances(model, nodes, actions)
+    w_vals, probs = model.disturbance_rows(nodes[:, None, :], actions[None, :])
     n_w = w_vals.shape[2]
     nxt = np.asarray(
         model.dynamics(nodes[:, None, None, :], actions[None, :, None], w_vals),
@@ -151,7 +128,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
     if terminal.min() < 0.0 or terminal.max() > model.c_bar:
         raise ValueError("terminal costs must lie in [0, c_bar]")
-    return TransitionTables(cost, probs, corner_idx, corner_wt,
+    return TransitionTables(cost, probs.copy(), corner_idx, corner_wt,
                             cz_idx.astype(np.int64), cz_frac, terminal)
 
 
@@ -170,13 +147,12 @@ def backup_q(x, z, u, s, J_next, model: SystemModel, grid: AugmentedGrid) -> flo
     goes through ``sweep_kernel`` on the precomputed transition tables.
     """
     x = np.asarray(x, dtype=np.float64)
-    pmf = model.disturbance_at(x, u)
     c = float(model.stage_cost(x, u))
     if not 0.0 <= c <= model.c_bar:
         raise ValueError(f"stage cost {c} outside [0, {model.c_bar}]")
     z_next = max(float(z), c)
     total = 0.0
-    for w, p in zip(pmf.values, pmf.probs):
+    for w, p in zip(*model.disturbance_rows(x, u)):
         x_next = model.dynamics(x, u, w)
         total += p * interp_xz(grid, J_next, x_next, z_next)
     return total

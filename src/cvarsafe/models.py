@@ -14,12 +14,12 @@ evaluated for whole batches of states at once. Units: ft, s, cfs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cvar import Pmf
+from .cvar import PROB_TOL, Pmf
 
 __all__ = [
     "PumpParams",
@@ -275,10 +275,10 @@ class SystemModel:
 
     ``dynamics(x, u, w)``, ``stage_cost(x, u)`` and ``terminal_cost(x)`` must
     broadcast over leading batch axes (states are arrays of shape
-    ``(..., state_dim)``). ``disturbance`` is either a single ``Pmf`` (law
-    independent of state and control) or a callable ``(x, u) -> Pmf``.
-    Stage and terminal costs take values in [0, c_bar].
-    """
+    ``(..., state_dim)``). Stage and terminal costs take values in [0, c_bar].
+    ``disturbance``, read only through ``disturbance_rows``, is a static ``Pmf``
+    or a vectorized ``(x, u) -> (values, probs)`` of one (..., n_w) atom row per
+    (x, u); short rows are padded with zero-probability copies of their last atom."""
 
     state_dim: int
     state_bounds: tuple            # ((lo, hi), ...) per state dimension
@@ -290,13 +290,23 @@ class SystemModel:
     disturbance: Union[Pmf, Callable]
     c_bar: float
     g_lower: float = 0.0
-    # Optional vectorized form of `disturbance` for batched sampling:
-    # (x (n, dim), u (n,)) -> (values (n, n_w), probs (n, n_w)).
-    disturbance_batch: Optional[Callable] = None
 
-    def disturbance_at(self, x, u) -> Pmf:
+    def disturbance_rows(self, x, u):
+        """Atom values and probs at (x, u), read-only arrays of shape (*batch, n_w)
+        where batch broadcasts x.shape[:-1] with u.shape. A callable's rows must
+        share one shape, be >= 0 and sum to 1 within ``PROB_TOL`` each, else
+        ValueError."""
         d = self.disturbance
-        return d if isinstance(d, Pmf) else d(x, u)
+        if isinstance(d, Pmf):
+            values, probs = d.values, d.probs
+        else:
+            values, probs = (np.asarray(a, dtype=np.float64) for a in d(x, u))
+            if (values.shape != probs.shape or probs.ndim == 0 or np.any(probs < 0.0)
+                    or np.any(np.abs(probs.sum(axis=-1) - 1.0) > PROB_TOL)):
+                raise ValueError(f"disturbance rows {values.shape}, {probs.shape} need "
+                                 f"one (..., n_w) shape and probs >= 0 summing to 1")
+        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)) + probs.shape[-1:]
+        return np.broadcast_to(values, shape), np.broadcast_to(probs, shape)
 
     @property
     def static_disturbance(self) -> Optional[Pmf]:

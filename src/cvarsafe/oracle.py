@@ -170,14 +170,9 @@ class TinyInstance:
             xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
             return terminal[xi]
 
-        def dist(x, u):
-            xi = int(np.searchsorted(states, np.asarray(x, dtype=np.float64).ravel()[0]))
-            ui = int(np.searchsorted(actions, float(np.asarray(u).ravel()[0])))
-            return Pmf(np.arange(self.n_atoms, dtype=np.float64), probs[xi, ui])
-
         atom_values = np.arange(self.n_atoms, dtype=np.float64)
 
-        def dist_batch(x, u):
+        def dist(x, u):
             xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
             ui = np.searchsorted(actions, np.asarray(u, dtype=np.float64))
             rows = probs[xi, ui]
@@ -194,7 +189,6 @@ class TinyInstance:
             disturbance=dist,
             c_bar=float(self.c_bar),
             g_lower=0.0,
-            disturbance_batch=dist_batch,
         )
         z_nodes = sorted({0.0, float(self.c_bar)} | {float(c) for c in cost.ravel()})
         s_nodes = self.s_breakpoints()
@@ -435,8 +429,7 @@ def expectation_dp(model: SystemModel, grid: AugmentedGrid) -> np.ndarray:
                     q += p * itp(pts.reshape(-1, len(axes))).reshape(n_x, n_z)
             else:
                 for i in range(n_x):
-                    pmf = model.disturbance_at(nodes[i], float(u))
-                    for w, p in zip(pmf.values, pmf.probs):
+                    for w, p in zip(*model.disturbance_rows(nodes[i], float(u))):
                         x_next = np.asarray(
                             model.dynamics(nodes[i], float(u), float(w)),
                             dtype=np.float64).ravel()

@@ -95,18 +95,10 @@ def _sample_disturbances(model: SystemModel, x, u, draws):
         cdf = np.cumsum(static.probs)
         idx = np.searchsorted(cdf, draws, side="right")
         return static.values[np.minimum(idx, len(static) - 1)]
-    if model.disturbance_batch is not None:
-        values, probs = model.disturbance_batch(x, u)
-        cdf = np.cumsum(probs, axis=1)
-        idx = np.minimum((cdf <= draws[:, None]).sum(axis=1), cdf.shape[1] - 1)
-        return values[np.arange(values.shape[0]), idx]
-    out = np.empty(draws.shape)
-    for i in range(draws.shape[0]):
-        pmf = model.disturbance_at(x[i], float(u[i]))
-        cdf = np.cumsum(pmf.probs)
-        idx = min(int(np.searchsorted(cdf, draws[i], side="right")), len(pmf) - 1)
-        out[i] = pmf.values[idx]
-    return out
+    values, probs = model.disturbance_rows(x, u)
+    cdf = np.cumsum(probs, axis=1)
+    idx = np.minimum((cdf <= draws[:, None]).sum(axis=1), cdf.shape[1] - 1)
+    return values[np.arange(values.shape[0]), idx]
 
 
 def _rollout_block(policy: PrecommitmentPolicy, model: SystemModel,

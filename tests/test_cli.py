@@ -287,10 +287,12 @@ class TestDeployCommand:
         assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
                          "--sweep", str(base)]) == 1
 
-    def test_x0_override_out_of_bounds(self, tiny_config, tmp_path):
+    def test_x0_override_out_of_bounds(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
-                         "--x0", "99,1"]) == 1
+                         "--x0", "99,1"]) == 2
+        assert "config error: deploy.x0[0]" in capsys.readouterr().err
+        assert not out.exists()  # refused before the sweep ran
 
 
 class TestOracleCommand:
@@ -388,6 +390,63 @@ class TestConfigErrors:
         assert cli.main(["deploy", "--config", path, "--out", str(out)]) == 2
         assert "config error: deploy.csv_max" in capsys.readouterr().err
         assert not out.exists()  # refused before the sweep ran
+
+    def test_oracle_count_zero_checks_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["oracle", "--count", "0", "--out", str(out)]) == 0
+        assert "empty corpus, nothing verified" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_oracle_count_rejected(self, tmp_path, capsys):
+        assert cli.main(["oracle", "--count", "-1",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error: --count: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "", "alphas"),
+        ("--alpha", "0.5,abc", "alphas"),
+        ("--alpha", "0.5,nan", "alphas[1]"),
+        ("--r", "x", "rs"),
+    ])
+    def test_bad_list_override(self, tiny_config, tmp_path, capsys,
+                               flag, value, field):
+        assert cli.main(["safe-sets", "--config", tiny_config, flag, value,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--x0", "a,b", "deploy.x0"),
+        ("--x0", "9,1", "deploy.x0[0]"),
+        ("--alpha", "1.5", "deploy.alpha"),
+    ])
+    def test_bad_deploy_override(self, tiny_config, tmp_path, capsys,
+                                 flag, value, field):
+        out = tmp_path / "o"
+        assert cli.main(["deploy", "--config", tiny_config, flag, value,
+                         "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()  # refused before the sweep ran
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"alphas": ["x"]}, "alphas[0]"),
+        ({"alphas": [True]}, "alphas[0]"),
+        ({"rs": [1.0, "x"]}, "rs[1]"),
+        ({"deploy": {**TINY_CONFIG["deploy"], "alpha": "x"}}, "deploy.alpha"),
+        ({"deploy": {**TINY_CONFIG["deploy"], "x0": ["a", 1]}}, "deploy.x0[0]"),
+        ({"deploy": {**TINY_CONFIG["deploy"], "x0": [2.5, None]}}, "deploy.x0[1]"),
+    ])
+    def test_non_numeric_config_field(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, "config.json", overrides)
+        out = tmp_path / "o"
+        assert cli.main(["deploy", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numbers_are_checked_not_converted(self):
+        # An int stays an int, so the config hash of a valid file is unchanged.
+        cfg = resolve_config({"alphas": [1], "deploy": {"x0": [2, 3]}})
+        assert type(cfg["alphas"][0]) is int
+        assert type(cfg["deploy"]["x0"][0]) is int
 
     def test_resolved_config_does_not_share_the_defaults(self):
         cfg = resolve_config({})

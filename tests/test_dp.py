@@ -1,5 +1,7 @@
 """Value-iteration engine tests: terminal stage, backups, argmin, tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,21 @@ def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_f
             J_out[ix, jz] = best
             U_out[ix, jz] = best_u
     return J_out, U_out
+
+
+WET = Pmf([10.0, 14.0, 18.0], [0.2, 0.5, 0.3])
+
+
+def wet_or_smoke_rows(x, u):
+    """A state-dependent runoff law: the three-atom ``WET`` row where
+    x1 > 3.3, else the smoke row padded to three atoms with a
+    zero-probability copy of its last atom. Rows do not depend on u."""
+    smoke = smoke_disturbance()
+    dry_values = np.append(smoke.values, smoke.values[-1])
+    dry_probs = np.append(smoke.probs, 0.0)
+    wet = np.asarray(x)[..., :1] > 3.3
+    return (np.where(wet, WET.values, dry_values),
+            np.where(wet, WET.probs, dry_probs))
 
 
 def line_model(horizon=2, step=0.5, cost_scale=0.25,
@@ -176,6 +193,18 @@ class TestBellmanMin:
         assert value == 0.0
 
 
+class TestDisturbanceRows:
+    @pytest.mark.parametrize("rows", [
+        (np.array([0.1, 0.6]), np.array([0.3, 0.6])),
+        (np.array([0.1, 0.6]), np.array([1.2, -0.2])),
+        (np.array([0.1, 0.6, 0.9]), np.array([0.3, 0.7])),
+    ], ids=["sum-below-one", "negative", "shape-mismatch"])
+    def test_invalid_rows_rejected(self, rows):
+        model = dataclasses.replace(line_model(), disturbance=lambda x, u: rows)
+        with pytest.raises(ValueError, match="disturbance"):
+            precompute_transitions(model, line_grid())
+
+
 class TestValueIteration:
     def test_single_step_identity(self):
         # with on-node transitions the recursion reduces to a direct formula
@@ -222,9 +251,11 @@ class TestValueIteration:
                 assert drop.max() <= 0.5 + 1e-12  # s spacing
             prev = vtable.values
 
-    def test_kernel_matches_pointwise_backup(self):
+    @pytest.mark.parametrize("law", [smoke_disturbance(), wet_or_smoke_rows],
+                             ids=["smoke", "state-dependent"])
+    def test_kernel_matches_pointwise_backup(self, law):
         # the vectorized sweep and the scalar interp path must agree bit-for-bit
-        model = make_stormwater_model(disturbance=smoke_disturbance())
+        model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         vtable, ptable = value_iteration(0.5, model, grid)
         nodes = grid.x_nodes()

@@ -11,6 +11,7 @@ from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, estimate_risk,
                       generate_corpus, g_k, make_stormwater_model, risk_value,
                       rollout, smoke_disturbance, sweep, synthesize_policy)
 from cvarsafe.models import design_params
+from test_dp import wet_or_smoke_rows
 
 # The module, not the function of the same name that the package exports.
 rollout_mod = importlib.import_module("cvarsafe.rollout")
@@ -137,15 +138,11 @@ class TestBlockInvariance:
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_state_dependent_law_without_batch_sampler(self, monkeypatch, block):
-        # A callable law without disturbance_batch: every rollout samples
-        # its shock from the Pmf of its own (x, u), one element at a time.
+        # A vectorized law whose rows depend on the state: every rollout
+        # samples its shock from the row of its own (x, u).
         base, grid, _ = small_setup()
-        wet = Pmf([10.0, 14.0, 18.0], [0.2, 0.5, 0.3])
-        dry = smoke_disturbance()
-        model = dataclasses.replace(
-            base, disturbance=lambda x, u: wet if x[0] > 3.3 else dry)
+        model = dataclasses.replace(base, disturbance=wet_or_smoke_rows)
         assert model.static_disturbance is None
-        assert model.disturbance_batch is None
         policy = synthesize_policy(np.array([3.0, 3.5]), 0.5,
                                    sweep(model, grid), model, grid)
         want = rollout(policy, 50, seed=8, model=model)
