@@ -7,10 +7,9 @@ two-tank stormwater benchmark and exact small-instance oracles.
 """
 
 from .cvar import Pmf, cvar_dual, cvar_tail, expected_excess, var
-from .dp import (PolicyTable, TransitionTables, ValueTable, backend, backup_q,
-                 bellman_min, precompute_transitions, terminal_value,
-                 value_iteration)
-from .grids import AugmentedGrid, interp_xz
+from .dp import (PolicyTable, TransitionTables, ValueTable, backend,
+                 precompute_transitions, terminal_value, value_iteration)
+from .grids import AugmentedGrid
 from .models import (PumpParams, StormwaterParams, SystemModel,
                      default_disturbance, design_params, g_k,
                      make_stormwater_model, q_cso, q_pump, q_pump_piecewise,

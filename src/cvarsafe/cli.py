@@ -179,8 +179,7 @@ def cmd_deploy(args) -> int:
         "seed": int(cfg["seed"]),
     }
     if num > 0:
-        batch = rollout(policy, num, cfg["seed"], model,
-                        reoptimize=bool(cfg["deploy"]["reoptimize"]))
+        batch = rollout(policy, num, cfg["seed"], model)
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
         summary.update(stats)
         summary["consistency_gap"] = abs(stats["excess_hat"] - policy.dp_value)

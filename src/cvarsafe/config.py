@@ -41,7 +41,6 @@ _DEFAULTS = {
         "x0": [2.5, 3.0],
         "alpha": 0.05,
         "rollouts": 1000,
-        "reoptimize": False,
         "csv_max": 1000,
     },
     "flags": {"persist_tables": False},

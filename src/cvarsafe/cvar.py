@@ -52,7 +52,7 @@ class Pmf:
             raise ValueError("atom probabilities must be nonnegative")
         total = probs.sum()
         if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, expected 1")
+            raise ValueError(f"atom probabilities sum to {float(total)!r}, expected 1")
         # Sort and merge duplicates; bincount keeps the accumulation order
         # deterministic.
         uniq, inverse = np.unique(values, return_inverse=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AugmentedGrid, interp_xz, locate_batch
+from .grids import AugmentedGrid, locate_batch
 from .models import SystemModel
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "TransitionTables",
     "precompute_transitions",
     "terminal_value",
-    "backup_q",
-    "bellman_min",
     "value_iteration",
 ]
 
@@ -136,41 +134,6 @@ def terminal_value(x, z, s, model: SystemModel):
     """Horizon cost max(max(c_N(x), z) - s, 0)."""
     c_n = model.terminal_cost(np.asarray(x, dtype=np.float64))
     return np.maximum(np.maximum(c_n, z) - s, 0.0)
-
-
-def backup_q(x, z, u, s, J_next, model: SystemModel, grid: AugmentedGrid) -> float:
-    """Expected interpolated continuation value for one (x, z, u).
-
-    ``J_next`` is a flat (n_xnodes, n_z) table for the dual parameter ``s``
-    (s itself enters only through that table). This pointwise path is used
-    for tests and for local policy re-optimization; ``value_iteration``
-    goes through ``sweep_kernel`` on the precomputed transition tables.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = float(model.stage_cost(x, u))
-    if not 0.0 <= c <= model.c_bar:
-        raise ValueError(f"stage cost {c} outside [0, {model.c_bar}]")
-    z_next = max(float(z), c)
-    total = 0.0
-    for w, p in zip(*model.disturbance_rows(x, u)):
-        x_next = model.dynamics(x, u, w)
-        total += p * interp_xz(grid, J_next, x_next, z_next)
-    return total
-
-
-def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
-    """Minimize ``backup_q`` over the action axis.
-
-    Returns (value, action); ties resolve to the smallest grid action.
-    """
-    best = np.inf
-    best_u = grid.action_axis[0]
-    for u in grid.action_axis:
-        q = backup_q(x, z, float(u), s, J_next, model, grid)
-        if q < best:
-            best = q
-            best_u = float(u)
-    return best, best_u
 
 
 def backend() -> str:

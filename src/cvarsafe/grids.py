@@ -1,4 +1,4 @@
-"""Rectilinear augmented-state grids and multilinear interpolation.
+"""Rectilinear augmented-state grids and bracketing on their axes.
 
 The computational substrate for value iteration: per-dimension state axes,
 a running-maximum axis on [0, c_bar], an action axis, and a dual-parameter
@@ -13,31 +13,17 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["AugmentedGrid", "locate", "locate_batch", "interp_xz"]
-
-
-def locate(axis: np.ndarray, v: float):
-    """Bracket ``v`` on a sorted axis: (lower index, fraction in [0, 1]).
-
-    The fraction is exactly 0.0 when ``v`` sits on a node, so interpolating
-    at a node reproduces the stored value bit-exactly. Values outside the
-    axis clamp to the ends.
-    """
-    n = axis.size
-    if n == 1:
-        return 0, 0.0
-    if v <= axis[0]:
-        return 0, 0.0
-    if v >= axis[-1]:
-        return n - 2, 1.0
-    idx = int(np.searchsorted(axis, v, side="right")) - 1
-    idx = min(idx, n - 2)
-    frac = (v - axis[idx]) / (axis[idx + 1] - axis[idx])
-    return idx, float(frac)
+__all__ = ["AugmentedGrid", "locate_batch"]
 
 
 def locate_batch(axis: np.ndarray, v: np.ndarray):
-    """Vectorized ``locate`` over an array of query values."""
+    """Bracket each value on a sorted axis: (lower indices, fractions in [0, 1]).
+
+    A fraction is exactly 0.0 where a value sits on a node (the top node
+    brackets from below with fraction 1.0), so interpolating at a node
+    reproduces the stored value bit-exactly. Values outside the axis clamp
+    to the ends: fraction 0.0 below the first node, 1.0 above the last.
+    """
     v = np.asarray(v, dtype=np.float64)
     n = axis.size
     if n == 1:
@@ -152,29 +138,3 @@ class AugmentedGrid:
         lo = np.maximum(hi - 1, 0)
         pick_hi = (axis[hi] - v) < (v - axis[lo])
         return np.where(pick_hi, hi, lo).astype(np.int64)
-
-
-def interp_xz(grid: AugmentedGrid, table: np.ndarray, x, z: float) -> float:
-    """Multilinear interpolation of a flat (n_xnodes, n_z) table at one point."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    kz, fz = locate(grid.z_axis, float(z))
-    locs = [locate(ax, x[d]) for d, ax in enumerate(grid.x_axes)]
-    strides = grid._x_strides
-    total = 0.0
-    for corner in range(1 << grid.state_dim):
-        wt = 1.0
-        flat = 0
-        for d, (idx, frac) in enumerate(locs):
-            if corner >> d & 1:
-                wt *= frac
-                flat += min(idx + 1, grid.x_axes[d].size - 1) * strides[d]
-            else:
-                wt *= 1.0 - frac
-                flat += idx * strides[d]
-        if wt == 0.0:
-            continue
-        lo = table[flat, kz]
-        if fz > 0.0:
-            lo = (1.0 - fz) * lo + fz * table[flat, kz + 1]
-        total += wt * lo
-    return float(total)

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .cvar import Pmf, cvar_dual
+from .cvar import PROB_TOL, Pmf, cvar_dual
 from .grids import AugmentedGrid
 from .models import SystemModel
 
@@ -94,8 +94,9 @@ class TinyInstance:
             raise ValueError("probs must be (n_states, n_actions, n_atoms)")
         if next_idx.shape != probs.shape:
             raise ValueError("next_idx must match probs in shape")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=2) - 1.0) > 1e-9):
-            raise ValueError("probability rows must be nonnegative and sum to 1")
+        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
+            raise ValueError("probability rows must be nonnegative and sum to 1 "
+                             f"within {PROB_TOL}")
         if np.any(next_idx < 0) or np.any(next_idx >= n_s):
             raise ValueError("next_idx out of state range")
         if self.c_bar <= 0:

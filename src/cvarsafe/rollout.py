@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvar import Pmf, cvar_tail, var
-from .dp import PolicyTable, ValueTable, bellman_min, value_iteration
+from .dp import PolicyTable, ValueTable, value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
 from .solver import DualSweep, risk_value
@@ -102,7 +102,7 @@ def _sample_disturbances(model: SystemModel, x, u, draws):
 
 
 def _rollout_block(policy: PrecommitmentPolicy, model: SystemModel,
-                   draws: np.ndarray, reoptimize: bool):
+                   draws: np.ndarray):
     """Advance one block of rollouts, one row of ``draws`` (m, horizon) each.
 
     Returns time-major (states, zs, actions, shocks, y_prime) of shapes
@@ -120,15 +120,9 @@ def _rollout_block(policy: PrecommitmentPolicy, model: SystemModel,
     zs[0] = 0.0
     for t in range(horizon):
         x, z, u = xs[t], zs[t], us[t]
-        if reoptimize:
-            j_next = policy.value_table.values[t + 1]
-            for i in range(m):
-                _, u[i] = bellman_min(x[i], z[i], policy.s_star, j_next,
-                                      model, grid)
-        else:
-            ix = grid.nearest_x_index(x)
-            jz = grid.nearest_z_index(z)
-            u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
+        ix = grid.nearest_x_index(x)
+        jz = grid.nearest_z_index(z)
+        u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
         ws[t] = _sample_disturbances(model, x, u, draws[t])
         xs[t + 1] = model.dynamics(x, u, ws[t])
         zs[t + 1] = np.maximum(z, model.stage_cost(x, u))
@@ -137,12 +131,11 @@ def _rollout_block(policy: PrecommitmentPolicy, model: SystemModel,
 
 
 def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
-            model: SystemModel, reoptimize: bool = False) -> RolloutBatch:
+            model: SystemModel) -> RolloutBatch:
     """Deploy the policy for ``num`` seeded trajectories.
 
-    Controls are looked up at the nearest (x, z) grid node; with
-    ``reoptimize`` they are instead re-minimized pointwise through
-    ``bellman_min`` at the exact query point (slower, higher fidelity).
+    Each control is the policy table's argmin at the (x, z) grid node
+    nearest the current augmented state.
     """
     n = int(num)
     horizon = model.horizon
@@ -155,7 +148,7 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         xs, zb, ub, wb, y = _rollout_block(
-            policy, model, rng.random((hi - lo, horizon)), reoptimize)
+            policy, model, rng.random((hi - lo, horizon)))
         states[lo:hi] = xs.transpose(1, 0, 2)
         zs[lo:hi] = zb.T
         acts[lo:hi] = ub.T

@@ -1,0 +1,90 @@
+"""Scalar reference path for one Bellman backup, used only by the tests.
+
+The library computes backups with ``dp.sweep_kernel`` on precomputed
+transition tables and brackets values with ``grids.locate_batch``. The
+functions here do the same arithmetic one point at a time and share no
+code with those two, so tests can compare the vectorized path against them.
+"""
+
+import numpy as np
+
+from cvarsafe import AugmentedGrid, SystemModel
+
+
+def locate(axis: np.ndarray, v: float):
+    """Bracket ``v`` on a sorted axis: (lower index, fraction in [0, 1]).
+
+    The fraction is exactly 0.0 when ``v`` sits on a node, so interpolating
+    at a node reproduces the stored value bit-exactly. Values outside the
+    axis clamp to the ends.
+    """
+    n = axis.size
+    if n == 1:
+        return 0, 0.0
+    if v <= axis[0]:
+        return 0, 0.0
+    if v >= axis[-1]:
+        return n - 2, 1.0
+    idx = int(np.searchsorted(axis, v, side="right")) - 1
+    idx = min(idx, n - 2)
+    frac = (v - axis[idx]) / (axis[idx + 1] - axis[idx])
+    return idx, float(frac)
+
+
+def interp_xz(grid: AugmentedGrid, table: np.ndarray, x, z: float) -> float:
+    """Multilinear interpolation of a flat (n_xnodes, n_z) table at one point."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    kz, fz = locate(grid.z_axis, float(z))
+    locs = [locate(ax, x[d]) for d, ax in enumerate(grid.x_axes)]
+    strides = grid._x_strides
+    total = 0.0
+    for corner in range(1 << grid.state_dim):
+        wt = 1.0
+        flat = 0
+        for d, (idx, frac) in enumerate(locs):
+            if corner >> d & 1:
+                wt *= frac
+                flat += min(idx + 1, grid.x_axes[d].size - 1) * strides[d]
+            else:
+                wt *= 1.0 - frac
+                flat += idx * strides[d]
+        if wt == 0.0:
+            continue
+        lo = table[flat, kz]
+        if fz > 0.0:
+            lo = (1.0 - fz) * lo + fz * table[flat, kz + 1]
+        total += wt * lo
+    return float(total)
+
+
+def backup_q(x, z, u, s, J_next, model: SystemModel, grid: AugmentedGrid) -> float:
+    """Expected interpolated continuation value for one (x, z, u).
+
+    ``J_next`` is a flat (n_xnodes, n_z) table for the dual parameter ``s``
+    (s itself enters only through that table).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c = float(model.stage_cost(x, u))
+    if not 0.0 <= c <= model.c_bar:
+        raise ValueError(f"stage cost {c} outside [0, {model.c_bar}]")
+    z_next = max(float(z), c)
+    total = 0.0
+    for w, p in zip(*model.disturbance_rows(x, u)):
+        x_next = model.dynamics(x, u, w)
+        total += p * interp_xz(grid, J_next, x_next, z_next)
+    return total
+
+
+def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
+    """Minimize ``backup_q`` over the action axis.
+
+    Returns (value, action); ties resolve to the smallest grid action.
+    """
+    best = np.inf
+    best_u = grid.action_axis[0]
+    for u in grid.action_axis:
+        q = backup_q(x, z, float(u), s, J_next, model, grid)
+        if q < best:
+            best = q
+            best_u = float(u)
+    return best, best_u

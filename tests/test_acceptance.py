@@ -20,7 +20,7 @@ import pytest
 from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, cvar_tail,
                       default_disturbance, design_params, estimate_risk,
                       exact_optimal_cvar, expectation_dp, extract_safe_set,
-                      g_k, load_corpus, make_stormwater_model, q_pump,
+                      load_corpus, make_stormwater_model, q_pump,
                       q_pump_piecewise, risk_value, rollout, smoke_disturbance,
                       sweep, synthesize_policy, transition)
 from cvarsafe import cli

@@ -314,6 +314,20 @@ class TestOracleCommand:
         bad.write_text('{"instances": [,]}')
         assert cli.main(["oracle", "--corpus", str(bad)]) == 2
 
+    def test_corpus_row_off_by_1e_10_refused_at_parse(self, tmp_path, capsys):
+        # Rows are checked at the tolerance the oracle's Pmfs use, so a row
+        # summing to 1 + 1e-10 is a parse error, not a failure mid-check.
+        inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],
+                "horizon": 1, "next": [[[0, 1]], [[0, 1]]],
+                "probs": [[[0.5, 0.5000000001]], [[0.5, 0.5]]],
+                "states": [0.0, 1.0], "terminal": [0.5, 1.5], "x0": 0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 1, "instances": [inst]}))
+        out = tmp_path / "o"
+        assert cli.main(["oracle", "--corpus", str(bad), "--out", str(out)]) == 2
+        assert "corpus parse failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_warns_and_passes(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"schema": 1, "instances": []}')
@@ -376,6 +390,14 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "o")]) == 2
         field = next(iter(grid))
         assert f"config error: grid.{field}" in capsys.readouterr().err
+
+    def test_removed_reoptimize_field_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, "config.json", {"deploy": {
+            **TINY_CONFIG["deploy"], "reoptimize": True}})
+        out = tmp_path / "o"
+        assert cli.main(["deploy", "--config", path, "--out", str(out)]) == 2
+        assert "deploy.reoptimize: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_threads_rejected(self, tiny_config, tmp_path, capsys):
         assert cli.main(["sweep", "--config", tiny_config, "--threads", "0",

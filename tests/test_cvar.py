@@ -32,6 +32,8 @@ class TestPmf:
             Pmf([], [])
         with pytest.raises(ValueError):
             Pmf([np.inf], [1.0])
+        with pytest.raises(ValueError, match=r"sum to 1\.0000000001, expected 1"):
+            Pmf([0.0, 1.0], [0.5, 0.5000000001])
 
     def test_from_samples(self):
         p = Pmf.from_samples([1.0, 1.0, 3.0, 1.0])

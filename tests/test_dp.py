@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, Pmf, SystemModel, backup_q, bellman_min,
-                      interp_xz, make_stormwater_model, precompute_transitions,
-                      smoke_disturbance, terminal_value, value_iteration)
+from cvarsafe import (AugmentedGrid, Pmf, SystemModel, make_stormwater_model,
+                      precompute_transitions, smoke_disturbance, terminal_value,
+                      value_iteration)
 from cvarsafe.artifacts import write_tables_csv
 from cvarsafe.dp import sweep_kernel
 from cvarsafe.grids import locate_batch
+from pointwise import backup_q, bellman_min, interp_xz
 
 
 def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):

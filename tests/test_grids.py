@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import AugmentedGrid, interp_xz, make_stormwater_model
-from cvarsafe.grids import locate, locate_batch
+from cvarsafe import AugmentedGrid, make_stormwater_model
+from cvarsafe.grids import locate_batch
+from pointwise import interp_xz, locate
 
 MODEL = make_stormwater_model()
 

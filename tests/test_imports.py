@@ -1,0 +1,48 @@
+"""No module imports a name at module level that it never uses.
+
+The library modules and the test files are parsed with ``ast``; a name
+bound by a top-level ``import`` counts as used when it appears as a name
+anywhere in the module or is listed in the module's ``__all__``. The
+package ``__init__`` is skipped: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "cvarsafe").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """Names bound by the module's top-level imports that it never uses."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_detects_unused_and_accepts_used():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\nfrom a import b, c as d\n"
+              "__all__ = ['b']\nx = np.zeros(1)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []

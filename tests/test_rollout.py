@@ -101,12 +101,6 @@ class TestRollout:
         batch = rollout(policy, 0, seed=0, model=model)
         assert batch.num == 0
 
-    def test_reoptimized_controls_stay_on_action_grid(self):
-        model, grid, ds = small_setup()
-        policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
-        batch = rollout(policy, 4, seed=2, model=model, reoptimize=True)
-        assert np.all(np.isin(batch.actions, grid.action_axis))
-
 
 class TestBlockInvariance:
     """Records do not depend on how many rollouts advance together."""
@@ -126,15 +120,6 @@ class TestBlockInvariance:
         want = rollout(policy, num, seed=6, model=model)
         monkeypatch.setattr(rollout_mod, "_BLOCK", num + 1)
         assert_same_batch(rollout(policy, num, seed=6, model=model), want)
-
-    @pytest.mark.parametrize("block", [1, 7, 100])
-    def test_reoptimized_rollouts(self, monkeypatch, block):
-        model, grid, ds = small_setup()
-        policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
-        want = rollout(policy, 9, seed=2, model=model, reoptimize=True)
-        monkeypatch.setattr(rollout_mod, "_BLOCK", block)
-        assert_same_batch(
-            rollout(policy, 9, seed=2, model=model, reoptimize=True), want)
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_state_dependent_law_without_batch_sampler(self, monkeypatch, block):
