@@ -8,12 +8,12 @@ two-tank stormwater benchmark and exact small-instance oracles.
 
 from .cvar import Pmf, cvar_dual, cvar_tail, expected_excess, var
 from .dp import (PolicyTable, TransitionTables, ValueTable, backend,
-                 precompute_transitions, terminal_value, value_iteration)
+                 precompute_transitions, value_iteration)
 from .grids import AugmentedGrid
 from .models import (PumpParams, StormwaterParams, SystemModel,
                      default_disturbance, design_params, g_k,
                      make_stormwater_model, q_cso, q_pump, q_pump_piecewise,
-                     q_storm, q_valve, smoke_disturbance, transition, z_update)
+                     q_storm, q_valve, smoke_disturbance, transition)
 from .oracle import (OracleError, OracleSizeError, TinyInstance,
                      exact_optimal_cvar, exact_optimal_cvar_history,
                      exact_policy_cvar, exchange_identity_value,

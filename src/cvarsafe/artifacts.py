@@ -156,10 +156,10 @@ def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str,
 
     def rows():  # one rollout's values at a time
         for i in range(num):
-            us = batch.actions[i].tolist() + [None]
-            ws = batch.shocks[i].tolist() + [None]
-            for t, (x, z, u, w) in enumerate(zip(batch.states[i].tolist(),
-                                                 batch.zs[i].tolist(), us, ws)):
+            us = batch.actions[:, i].tolist() + [None]
+            ws = batch.shocks[:, i].tolist() + [None]
+            for t, (x, z, u, w) in enumerate(zip(batch.states[:, i].tolist(),
+                                                 batch.zs[:, i].tolist(), us, ws)):
                 yield (i, t, *x, z, u, w)
 
     cols = ["rollout_id", "t"] + [f"x{d + 1}" for d in range(dim)] + ["z", "u", "w"]

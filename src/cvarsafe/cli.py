@@ -264,7 +264,8 @@ def cmd_compare_designs(args) -> int:
     for design in ("a", "b", "c", "d"):
         dcfg = json.loads(json.dumps(cfg))  # deep copy
         dcfg["model"]["design"] = design
-        dcfg["model"]["params"].pop("pump", None)
+        if design != "b":  # a pump is configured for design b only
+            dcfg["model"]["params"].pop("pump", None)
         model, grid, _ = _prepare(dcfg)
         config_mod.rs_within_range(dcfg, model)
         print(f"compare-designs: sweeping design {design}", file=sys.stderr)

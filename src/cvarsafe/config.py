@@ -47,6 +47,7 @@ _DEFAULTS = {
 }
 
 _PARAM_NAMES = {f.name for f in dataclass_fields(StormwaterParams)} - {"design", "pump"}
+_COUNT_PARAMS = {"horizon", "n_cso1", "n_cso2"}
 _PUMP_NAMES = {"q_max", "eps", "z_elev"}
 
 
@@ -59,7 +60,9 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
-            out[key] = _merge(base[key], value, where)
+            # model.params is open: _validate checks its names and values.
+            out[key] = (dict(value) if where == "model.params"
+                        else _merge(base[key], value, where))
         else:
             out[key] = value
     return out
@@ -117,16 +120,19 @@ def _validate(cfg: dict) -> None:
     _require(design in ("a", "b", "c", "d"), "model.design",
              f"must be one of a/b/c/d, got {design!r}")
     params = cfg["model"]["params"]
-    for name in params:
+    for name, value in params.items():
+        where = f"model.params.{name}"
         if name == "pump":
-            _require(isinstance(params[name], dict), "model.params.pump",
-                     "expected an object")
-            for sub in params[name]:
-                _require(sub in _PUMP_NAMES, f"model.params.pump.{sub}",
+            _require(isinstance(value, dict), where, "expected an object")
+            for sub in value:
+                _require(sub in _PUMP_NAMES, f"{where}.{sub}",
                          "unknown pump field")
+                _number(value[sub], f"{where}.{sub}")
+        elif name in _COUNT_PARAMS:
+            params[name] = _count(value, where, 1)
         else:
-            _require(name in _PARAM_NAMES, f"model.params.{name}",
-                     "unknown parameter")
+            _require(name in _PARAM_NAMES, where, "unknown parameter")
+            _number(value, where)
     dist = cfg["model"]["disturbance"]
     if isinstance(dist, str):
         _require(dist in ("default", "smoke"), "model.disturbance",

@@ -28,7 +28,6 @@ __all__ = [
     "PolicyTable",
     "TransitionTables",
     "precompute_transitions",
-    "terminal_value",
     "value_iteration",
 ]
 
@@ -128,12 +127,6 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
         raise ValueError("terminal costs must lie in [0, c_bar]")
     return TransitionTables(cost, probs.copy(), corner_idx, corner_wt,
                             cz_idx.astype(np.int64), cz_frac, terminal)
-
-
-def terminal_value(x, z, s, model: SystemModel):
-    """Horizon cost max(max(c_N(x), z) - s, 0)."""
-    c_n = model.terminal_cost(np.asarray(x, dtype=np.float64))
-    return np.maximum(np.maximum(c_n, z) - s, 0.0)
 
 
 def backend() -> str:

@@ -112,9 +112,6 @@ class AugmentedGrid:
         """All state nodes as an (n_xnodes, state_dim) array, row-major."""
         return self._x_nodes
 
-    def flat_x_index(self, multi_idx) -> int:
-        return int(np.dot(np.asarray(multi_idx, dtype=np.int64), self._x_strides))
-
     def nearest_x_index(self, x):
         """Flat index of the state node nearest to x (ties go to the lower node)."""
         x = np.asarray(x, dtype=np.float64)

@@ -36,7 +36,6 @@ __all__ = [
     "q_pump",
     "q_pump_piecewise",
     "transition",
-    "z_update",
 ]
 
 
@@ -312,11 +311,6 @@ class SystemModel:
     def static_disturbance(self) -> Optional[Pmf]:
         d = self.disturbance
         return d if isinstance(d, Pmf) else None
-
-
-def z_update(z, x, u, model: SystemModel):
-    """Running-maximum update: max(z, stage cost at (x, u))."""
-    return np.maximum(z, model.stage_cost(x, u))
 
 
 def make_stormwater_model(params: Optional[StormwaterParams] = None,

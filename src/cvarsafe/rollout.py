@@ -5,17 +5,19 @@ minimizing dual parameter is read off the risk surface at the node nearest
 the initial state, value iteration is re-solved at exactly that parameter,
 and the resulting argmin tables drive the rollouts.
 
-Rollouts advance in blocks of ``_BLOCK`` trajectories. A block draws its
-(m, horizon) uniforms from the one generator seeded with ``seed``, in
-order, so the blocks' draws laid end to end are the rows of a single
-(num, horizon) draw matrix: row l is a deterministic function of
-(seed, l, horizon) whatever the block size. Inside a block the trajectory
-lives in small time-major buffers (step t of every rollout is one contiguous
-row), so each step's lookups, sampling and dynamics read and write
-cache-resident arrays; the finished block is copied once into the
-rollout-major ``RolloutBatch`` arrays. Every element goes through the same
-floating-point operations whatever the block, so results do not depend on
-block size, batch size or thread counts, and reruns are bit-identical.
+Records are time-major: ``RolloutBatch.states`` has shape
+(horizon + 1, num, state_dim), ``zs`` (horizon + 1, num), ``actions`` and
+``shocks`` (horizon, num) and ``y_prime`` (num,), so rollout i is
+``states[:, i]``. Rollouts advance in blocks of ``_BLOCK`` trajectories,
+each step writing straight into the contiguous ``[t, lo:hi]`` slices of the
+batch arrays, so every step's lookups, sampling and dynamics read and write
+cache-resident rows. A block draws its (m, horizon) uniforms from the one
+generator seeded with ``seed``, in order, so the blocks' draws laid end to
+end are the rows of a single (num, horizon) draw matrix: row l is a
+deterministic function of (seed, l, horizon) whatever the block size. Every
+element goes through the same floating-point operations whatever the block,
+so results do not depend on block size, batch size or thread counts, and
+reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,15 +65,15 @@ class RolloutBatch:
     """Recorded trajectories; identical (seed, config) gives identical records."""
 
     seed: int
-    states: np.ndarray   # (num, N + 1, state_dim)
-    zs: np.ndarray       # (num, N + 1)
-    actions: np.ndarray  # (num, N)
-    shocks: np.ndarray   # (num, N)
+    states: np.ndarray   # (N + 1, num, state_dim)
+    zs: np.ndarray       # (N + 1, num)
+    actions: np.ndarray  # (N, num)
+    shocks: np.ndarray   # (N, num)
     y_prime: np.ndarray  # (num,) realized maximum costs (g_lower restored)
 
     @property
     def num(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]
 
 
 def synthesize_policy(x0, alpha, dsweep: DualSweep, model: SystemModel,
@@ -101,35 +103,6 @@ def _sample_disturbances(model: SystemModel, x, u, draws):
     return values[np.arange(values.shape[0]), idx]
 
 
-def _rollout_block(policy: PrecommitmentPolicy, model: SystemModel,
-                   draws: np.ndarray):
-    """Advance one block of rollouts, one row of ``draws`` (m, horizon) each.
-
-    Returns time-major (states, zs, actions, shocks, y_prime) of shapes
-    (horizon + 1, m, state_dim), (horizon + 1, m), (horizon, m), (horizon, m)
-    and (m,).
-    """
-    m, horizon = draws.shape
-    grid = policy.grid
-    draws = np.ascontiguousarray(draws.T)
-    xs = np.empty((horizon + 1, m, model.state_dim))
-    zs = np.empty((horizon + 1, m))
-    us = np.empty((horizon, m))
-    ws = np.empty((horizon, m))
-    xs[0] = policy.x0
-    zs[0] = 0.0
-    for t in range(horizon):
-        x, z, u = xs[t], zs[t], us[t]
-        ix = grid.nearest_x_index(x)
-        jz = grid.nearest_z_index(z)
-        u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
-        ws[t] = _sample_disturbances(model, x, u, draws[t])
-        xs[t + 1] = model.dynamics(x, u, ws[t])
-        zs[t + 1] = np.maximum(z, model.stage_cost(x, u))
-    y = np.maximum(zs[horizon], model.terminal_cost(xs[horizon]))
-    return xs, zs, us, ws, y + model.g_lower
-
-
 def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
             model: SystemModel) -> RolloutBatch:
     """Deploy the policy for ``num`` seeded trajectories.
@@ -139,21 +112,30 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
     """
     n = int(num)
     horizon = model.horizon
-    states = np.empty((n, horizon + 1, model.state_dim))
-    zs = np.empty((n, horizon + 1))
-    acts = np.empty((n, horizon))
-    shocks = np.empty((n, horizon))
+    grid = policy.grid
+    states = np.empty((horizon + 1, n, model.state_dim))
+    zs = np.empty((horizon + 1, n))
+    acts = np.empty((horizon, n))
+    shocks = np.empty((horizon, n))
     y_prime = np.empty(n)
+    states[0] = policy.x0
+    zs[0] = 0.0
     rng = np.random.default_rng(int(seed))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        xs, zb, ub, wb, y = _rollout_block(
-            policy, model, rng.random((hi - lo, horizon)))
-        states[lo:hi] = xs.transpose(1, 0, 2)
-        zs[lo:hi] = zb.T
-        acts[lo:hi] = ub.T
-        shocks[lo:hi] = wb.T
-        y_prime[lo:hi] = y
+        draws = rng.random((hi - lo, horizon))
+        for t in range(horizon):
+            x, z = states[t, lo:hi], zs[t, lo:hi]
+            u, w = acts[t, lo:hi], shocks[t, lo:hi]
+            ix = grid.nearest_x_index(x)
+            jz = grid.nearest_z_index(z)
+            u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
+            w[:] = _sample_disturbances(model, x, u, draws[:, t])
+            states[t + 1, lo:hi] = model.dynamics(x, u, w)
+            zs[t + 1, lo:hi] = np.maximum(z, model.stage_cost(x, u))
+        y = np.maximum(zs[horizon, lo:hi],
+                       model.terminal_cost(states[horizon, lo:hi]))
+        y_prime[lo:hi] = y + model.g_lower
     return RolloutBatch(int(seed), states, zs, acts, shocks, y_prime)
 
 

@@ -360,6 +360,18 @@ class TestCompareDesignsCommand:
         assert base_row[0] == "a" and base_row[4] == "0.0"
 
 
+class TestReadmeConfiguration:
+    def test_example_config_resolves_and_builds(self):
+        # The JSON block under README "### Configuration" must stay a valid
+        # config, so the documented example cannot drift from the parser.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        cfg = resolve_config(json.loads(block))
+        grid = build_grid(cfg, build_model(cfg))
+        assert grid.x_shape == tuple(cfg["grid"]["x"])
+
+
 class TestConfigErrors:
     def test_unknown_field_path_in_message(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -464,6 +476,20 @@ class TestConfigErrors:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("design, params, error", [
+        ("a", {"a1": "x"}, "model.params.a1: expected a finite number"),
+        ("a", {"horizon": 2.5}, "model.params.horizon: expected an integer"),
+        ("b", {"pump": {"eps": None}},
+         "model.params.pump.eps: expected a finite number"),
+    ], ids=["a1", "horizon", "pump.eps"])
+    def test_bad_param_value(self, tmp_path, capsys, design, params, error):
+        path = write_config(tmp_path, "config.json", {"model": {
+            "design": design, "params": params}})
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numbers_are_checked_not_converted(self):
         # An int stays an int, so the config hash of a valid file is unchanged.
         cfg = resolve_config({"alphas": [1], "deploy": {"x0": [2, 3]}})
@@ -477,9 +503,37 @@ class TestConfigErrors:
         assert resolve_config({})["deploy"]["x0"] == [2.5, 3.0]
         assert resolve_config({})["grid"]["z"] == 11
 
-    def test_pump_params_on_baseline_rejected(self, tmp_path):
+    def test_pump_params_on_baseline_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(
             {"model": {"design": "a", "params": {"pump": {"q_max": 5.0}}}}))
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+        assert "required exactly for design b" in capsys.readouterr().err
+
+    def test_params_override_changes_the_sweep(self, tiny_config, tmp_path):
+        path = write_config(tmp_path, "a2.json", {"model": {
+            **TINY_CONFIG["model"], "params": {"a2": 11000.0}}})
+        for name, config in (("default", tiny_config), ("a2", path)):
+            assert cli.main(["sweep", "--config", config,
+                             "--out", str(tmp_path / name)]) == 0
+        rows = [(tmp_path / name / "sweep.csv").read_text().splitlines()[2:]
+                for name in ("default", "a2")]
+        assert rows[0] != rows[1]
+
+    def test_configured_pump_kept_for_design_b_only(self, tmp_path,
+                                                    monkeypatch):
+        pumps = {}
+        prepare = cli._prepare
+
+        def recording_prepare(cfg):
+            pumps[cfg["model"]["design"]] = cfg["model"]["params"].get("pump")
+            return prepare(cfg)
+
+        monkeypatch.setattr(cli, "_prepare", recording_prepare)
+        path = write_config(tmp_path, "config.json", {"model": {
+            **TINY_CONFIG["model"], "design": "b",
+            "params": {"pump": {"q_max": 5.0}}}})
+        assert cli.main(["compare-designs", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert pumps == {"a": None, "b": {"q_max": 5.0}, "c": None, "d": None}

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, Pmf, SystemModel, make_stormwater_model,
-                      precompute_transitions, smoke_disturbance, terminal_value,
-                      value_iteration)
+                      precompute_transitions, smoke_disturbance, value_iteration)
 from cvarsafe.artifacts import write_tables_csv
 from cvarsafe.dp import sweep_kernel
 from cvarsafe.grids import locate_batch
@@ -103,20 +102,34 @@ def line_grid():
 
 
 class TestTerminalValue:
+    """The horizon layer max(max(c_N(x), z) - s, 0) of value_iteration."""
+
     MODEL = make_stormwater_model()
+    GRID = AugmentedGrid(x_axes=(np.array([3.0, 4.0, 5.0]),
+                                 np.array([4.0, 5.0, 6.0])),
+                         z_axis=np.array([0.0, 1.0, 1.2, 1.9, 2.0]),
+                         action_axis=np.array([0.0, 1.0]),
+                         s_axis=np.array([0.0, 2.0]))
+
+    def terminal_value(self, x, z, s):
+        values = value_iteration(s, self.MODEL, self.GRID)[0].values
+        node = self.GRID.nearest_x_index(np.array(x))
+        assert np.array_equal(self.GRID.x_nodes()[node], x)
+        (jz,) = np.flatnonzero(self.GRID.z_axis == z)
+        return values[self.MODEL.horizon][node, jz]
 
     def test_direct_evaluation(self):
-        x = np.array([5.0, 6.0])  # terminal cost 2
-        assert terminal_value(x, 1.0, 0.5, self.MODEL) == 1.5
+        x = [5.0, 6.0]  # terminal cost 2
+        assert self.terminal_value(x, 1.0, 0.5) == 1.5
 
     def test_zero_at_or_above_cbar(self):
-        x = np.array([4.0, 5.0])
+        x = [4.0, 5.0]
         for s in (2.0, 2.5):
-            assert terminal_value(x, 1.9, s, self.MODEL) == 0.0
+            assert self.terminal_value(x, 1.9, s) == 0.0
 
     def test_running_max_dominates(self):
-        x = np.array([3.0, 4.0])  # terminal cost 0
-        assert terminal_value(x, 1.2, 0.0, self.MODEL) == 1.2
+        x = [3.0, 4.0]  # terminal cost 0
+        assert self.terminal_value(x, 1.2, 0.0) == 1.2
 
 
 class TestBackupQ:

@@ -57,7 +57,6 @@ class TestConstruction:
         # last axis varies fastest
         assert nodes[0].tolist() == [0.0, 0.0]
         assert nodes[1][0] == 0.0 and nodes[1][1] == 1.0
-        assert g.flat_x_index((1, 2)) == 1 * 7 + 2
 
 
 class TestLocate:

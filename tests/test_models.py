@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from cvarsafe import (default_disturbance, design_params, g_k,
                       make_stormwater_model, q_cso, q_pump, q_pump_piecewise,
-                      q_storm, q_valve, smoke_disturbance, transition,
-                      z_update)
+                      q_storm, q_valve, smoke_disturbance, transition)
 from cvarsafe.models import PumpParams, StormwaterParams, max_cso_rate, max_storm_rate
 
 BASE = design_params("a")
@@ -56,20 +55,6 @@ class TestCostFunction:
         x = rng.uniform([0, 0], [5, 6], size=(5000, 2))
         c = g_k(x, BASE)
         assert c.min() >= 0.0 and c.max() <= 2.0
-
-
-class TestZUpdate:
-    def test_examples(self):
-        model = make_stormwater_model(BASE)
-        assert z_update(0.0, np.array([3.0, 4.0]), 0.0, model) == 0.0
-        assert z_update(1.5, np.array([3.0, 4.0]), 0.0, model) == 1.5
-        assert z_update(0.2, np.array([5.0, 6.0]), 0.0, model) == 2.0
-
-    def test_idempotent(self):
-        model = make_stormwater_model(BASE)
-        x = np.array([4.4, 5.1])
-        once = z_update(0.3, x, 0.0, model)
-        assert z_update(once, x, 0.0, model) == once
 
 
 class TestStormFlow:

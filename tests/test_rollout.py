@@ -66,14 +66,18 @@ class TestRollout:
         policy = synthesize_policy(np.array([3.0, 3.5]), 0.5, ds, model, grid)
         big = rollout(policy, 200, seed=3, model=model)
         small = rollout(policy, 50, seed=3, model=model)
-        assert np.array_equal(big.states[:50], small.states)
+        assert np.array_equal(big.states[:, :50], small.states)
+        assert np.array_equal(big.zs[:, :50], small.zs)
+        assert np.array_equal(big.actions[:, :50], small.actions)
+        assert np.array_equal(big.shocks[:, :50], small.shocks)
+        assert np.array_equal(big.y_prime[:50], small.y_prime)
 
     def test_degenerate_disturbance_identical_rollouts(self):
         model, grid, ds = small_setup(disturbance=Pmf([12.2], [1.0]))
         policy = synthesize_policy(np.array([2.0, 2.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 50, seed=0, model=model)
         assert np.all(batch.y_prime == batch.y_prime[0])
-        assert np.all(batch.states == batch.states[0:1])
+        assert np.all(batch.states == batch.states[:, 0:1])
 
     def test_z_trace_recomputable(self):
         model, grid, ds = small_setup()
@@ -82,17 +86,17 @@ class TestRollout:
         for i in range(0, 100, 17):
             z = 0.0
             for t in range(model.horizon):
-                assert batch.zs[i, t] == z
-                z = max(z, float(model.stage_cost(batch.states[i, t],
-                                                  batch.actions[i, t])))
-            assert batch.zs[i, model.horizon] == z
+                assert batch.zs[t, i] == z
+                z = max(z, float(model.stage_cost(batch.states[t, i],
+                                                  batch.actions[t, i])))
+            assert batch.zs[model.horizon, i] == z
 
     def test_y_prime_is_trajectory_max_elevation(self):
         model, grid, ds = small_setup()
         params = design_params("a")
         policy = synthesize_policy(np.array([4.0, 5.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 64, seed=1, model=model)
-        expected = g_k(batch.states, params).max(axis=1)
+        expected = g_k(batch.states, params).max(axis=0)
         assert_allclose(batch.y_prime, expected, atol=1e-14)
 
     def test_zero_rollouts(self):
