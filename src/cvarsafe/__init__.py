@@ -17,8 +17,8 @@ from .models import (PumpParams, StormwaterParams, SystemModel,
 from .oracle import (OracleError, OracleSizeError, TinyInstance,
                      exact_optimal_cvar, exact_optimal_cvar_history,
                      exact_policy_cvar, exchange_identity_value,
-                     expectation_dp, generate_corpus, load_corpus,
-                     random_instance, save_corpus)
+                     generate_corpus, load_corpus, random_instance,
+                     save_corpus)
 from .rollout import (PrecommitmentPolicy, RolloutBatch, estimate_risk,
                       rollout, synthesize_policy)
 from .solver import (DualSweep, RiskSurface, SafeSetMask, extract_safe_set,

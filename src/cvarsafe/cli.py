@@ -176,7 +176,7 @@ def cmd_deploy(args) -> int:
         "s_star": policy.s_star,
         "dp_value": policy.dp_value,
         "num_rollouts": num,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
     }
     if num > 0:
         batch = rollout(policy, num, cfg["seed"], model)
@@ -193,6 +193,11 @@ def cmd_deploy(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
+    for flag, value, minimum in (("--count", args.count, 0),
+                                 ("--seed", args.seed, 0),
+                                 ("--budget", args.budget, 1)):
+        if value is not None and value < minimum:
+            raise ConfigError(f"{flag}: must be >= {minimum}, got {value}")
     if args.corpus:
         try:
             instances = load_corpus(args.corpus)
@@ -200,8 +205,6 @@ def cmd_oracle(args) -> int:
             print(f"error: corpus parse failed: {exc}", file=sys.stderr)
             return 2
     elif args.count is not None:
-        if args.count < 0:
-            raise ConfigError(f"--count: must be >= 0, got {args.count}")
         instances = generate_corpus(args.seed, args.count)
     else:
         instances = _default_corpus()

@@ -164,10 +164,14 @@ def _validate(cfg: dict) -> None:
     for i, a in enumerate(cfg["alphas"]):
         _require(0.0 < a <= 1.0, f"alphas[{i}]", f"must be in (0, 1], got {a!r}")
     cfg["threads"] = _count(cfg["threads"], "threads", 1)
+    cfg["seed"] = _count(cfg["seed"], "seed", 0)
     for key in ("rollouts", "csv_max"):
         cfg["deploy"][key] = _count(cfg["deploy"][key], f"deploy.{key}", 0)
     _require(0.0 < _number(cfg["deploy"]["alpha"], "deploy.alpha") <= 1.0,
              "deploy.alpha", "must be in (0, 1]")
+    persist = cfg["flags"]["persist_tables"]
+    _require(isinstance(persist, bool), "flags.persist_tables",
+             f"expected true or false, got {persist!r}")
 
 
 def _digest(obj) -> str:

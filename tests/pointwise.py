@@ -1,12 +1,16 @@
-"""Scalar reference path for one Bellman backup, used only by the tests.
+"""Independent reference computations, used only by the tests.
 
 The library computes backups with ``dp.sweep_kernel`` on precomputed
 transition tables and brackets values with ``grids.locate_batch``. The
 functions here do the same arithmetic one point at a time and share no
 code with those two, so tests can compare the vectorized path against them.
+
+``expectation_dp`` is the independent expectation-minimizing grid DP
+(scipy interpolation) used to cross-check the risk pipeline at alpha = 1.
 """
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 
 from cvarsafe import AugmentedGrid, SystemModel
 
@@ -88,3 +92,52 @@ def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
             best = q
             best_u = float(u)
     return best, best_u
+
+
+def expectation_dp(model: SystemModel, grid: AugmentedGrid) -> np.ndarray:
+    """min over policies of E[Y] per state node, Y the maximum cost.
+
+    Independent of the dual-parameter machinery: augmented DP with objective
+    J_N = max(c_N, z), interpolating through scipy's grid interpolator.
+    Returns the z = 0 slice of J_0 (one value per flat state node).
+    """
+    if grid.z_axis[0] != 0.0:
+        raise ValueError("expectation_dp requires a z axis starting at 0")
+    nodes = grid.x_nodes()
+    n_x, n_z = nodes.shape[0], grid.z_axis.size
+    axes = tuple(grid.x_axes) + (grid.z_axis,)
+    table_shape = grid.x_shape + (n_z,)
+
+    term = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
+    J = np.maximum(term[:, None], grid.z_axis[None, :])
+    static = model.static_disturbance
+    for _ in range(model.horizon):
+        itp = RegularGridInterpolator(axes, J.reshape(table_shape), method="linear")
+        best = np.full((n_x, n_z), np.inf)
+        for u in grid.action_axis:
+            c = np.broadcast_to(
+                np.asarray(model.stage_cost(nodes, float(u)), dtype=np.float64),
+                (n_x,))
+            z_next = np.maximum(grid.z_axis[None, :], c[:, None])
+            q = np.zeros((n_x, n_z))
+            if static is not None:
+                for w, p in zip(static.values, static.probs):
+                    x_next = np.asarray(model.dynamics(nodes, float(u), float(w)),
+                                        dtype=np.float64)
+                    pts = np.concatenate(
+                        [np.repeat(x_next[:, None, :], n_z, axis=1),
+                         z_next[:, :, None]], axis=2)
+                    q += p * itp(pts.reshape(-1, len(axes))).reshape(n_x, n_z)
+            else:
+                for i in range(n_x):
+                    for w, p in zip(*model.disturbance_rows(nodes[i], float(u))):
+                        x_next = np.asarray(
+                            model.dynamics(nodes[i], float(u), float(w)),
+                            dtype=np.float64).ravel()
+                        pts = np.concatenate(
+                            [np.repeat(x_next[None, :], n_z, axis=0),
+                             z_next[i][:, None]], axis=1)
+                        q[i] += p * itp(pts)
+            np.minimum(best, q, out=best)
+        J = best
+    return J[:, 0]

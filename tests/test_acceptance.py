@@ -19,11 +19,12 @@ import pytest
 
 from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, cvar_tail,
                       default_disturbance, design_params, estimate_risk,
-                      exact_optimal_cvar, expectation_dp, extract_safe_set,
-                      load_corpus, make_stormwater_model, q_pump,
-                      q_pump_piecewise, risk_value, rollout, smoke_disturbance,
-                      sweep, synthesize_policy, transition)
+                      exact_optimal_cvar, extract_safe_set, load_corpus,
+                      make_stormwater_model, q_pump, q_pump_piecewise,
+                      risk_value, rollout, smoke_disturbance, sweep,
+                      synthesize_policy, transition)
 from cvarsafe import cli
+from pointwise import expectation_dp
 from test_cli import read_tree
 
 COARSE = {"x": (25, 25), "z": 11, "action": 11, "s": 21}

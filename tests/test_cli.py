@@ -113,6 +113,15 @@ class TestSweepCommand:
                    if not is_canonical_cell(c)]
             assert not bad, (csv.name, bad[:3])
 
+    def test_persist_tables_must_be_a_boolean(self, tmp_path, capsys):
+        path = write_config(tmp_path, "config.json",
+                            {"flags": {"persist_tables": "no"}})
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert ("config error: flags.persist_tables: expected true or false"
+                in capsys.readouterr().err)
+        assert not out.exists()  # so no tables were written
+
     def test_persist_tables_solves_each_s_once(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, "config.json",
                             {"flags": {"persist_tables": True}})
@@ -432,9 +441,16 @@ class TestConfigErrors:
         assert not out.exists()
 
     def test_negative_oracle_count_rejected(self, tmp_path, capsys):
-        assert cli.main(["oracle", "--count", "-1",
-                         "--out", str(tmp_path / "o")]) == 2
-        assert "config error: --count: must be >= 0" in capsys.readouterr().err
+        # --seed and --budget are checked like --count, naming the flag.
+        out = tmp_path / "o"
+        for flags, error in ((["--count", "-1"], "--count: must be >= 0"),
+                             (["--seed", "-1"], "--seed: must be >= 0"),
+                             (["--budget", "-1"], "--budget: must be >= 1"),
+                             (["--budget", "0"], "--budget: must be >= 1")):
+            argv = ["oracle", "--count", "2", *flags, "--out", str(out)]
+            assert cli.main(argv) == 2, flags
+            assert f"config error: {error}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "", "alphas"),
@@ -452,6 +468,7 @@ class TestConfigErrors:
         ("--x0", "a,b", "deploy.x0"),
         ("--x0", "9,1", "deploy.x0[0]"),
         ("--alpha", "1.5", "deploy.alpha"),
+        ("--seed", "-1", "seed"),
     ])
     def test_bad_deploy_override(self, tiny_config, tmp_path, capsys,
                                  flag, value, field):
@@ -468,6 +485,9 @@ class TestConfigErrors:
         ({"deploy": {**TINY_CONFIG["deploy"], "alpha": "x"}}, "deploy.alpha"),
         ({"deploy": {**TINY_CONFIG["deploy"], "x0": ["a", 1]}}, "deploy.x0[0]"),
         ({"deploy": {**TINY_CONFIG["deploy"], "x0": [2.5, None]}}, "deploy.x0[1]"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
     ])
     def test_non_numeric_config_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, "config.json", overrides)

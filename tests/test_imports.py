@@ -1,4 +1,4 @@
-"""No module imports a name at module level that it never uses.
+"""Import hygiene: no unused module-level imports, no scipy at run time.
 
 The library modules and the test files are parsed with ``ast``; a name
 bound by a top-level ``import`` counts as used when it appears as a name
@@ -7,6 +7,9 @@ package ``__init__`` is skipped: its imports are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,14 @@ def test_detects_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_imports_without_scipy():
+    # A fresh interpreter, because this one has loaded scipy for the tests.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, cvarsafe, cvarsafe.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
                       TinyInstance, exact_optimal_cvar,
                       exact_optimal_cvar_history, exact_policy_cvar,
-                      exchange_identity_value, expectation_dp, generate_corpus,
-                      load_corpus, make_stormwater_model, random_instance,
-                      save_corpus)
+                      exchange_identity_value, generate_corpus, load_corpus,
+                      make_stormwater_model, random_instance, save_corpus)
 from cvarsafe.oracle import _excess_dp
+from pointwise import expectation_dp
 
 
 def two_state_instance():
