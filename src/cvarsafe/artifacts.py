@@ -110,12 +110,8 @@ def read_sweep(out_dir):
     one row per s value of the stored s axis, each with one value per stored
     state node."""
     meta = read_sweep_meta(out_dir)
-    grid = AugmentedGrid(
-        x_axes=tuple(np.asarray(ax) for ax in meta["x_axes"]),
-        z_axis=np.asarray(meta["z_axis"]),
-        action_axis=np.asarray(meta["action_axis"]),
-        s_axis=np.asarray(meta["s_axis"]),
-    )
+    grid = AugmentedGrid(tuple(meta["x_axes"]), meta["z_axis"],
+                         meta["action_axis"], meta["s_axis"])
     rows = []
     with open(f"{out_dir}/sweep.csv") as fh:
         for line in fh:

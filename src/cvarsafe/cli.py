@@ -19,12 +19,14 @@ import json
 import os
 import sys
 import time
+from importlib import resources
 
 import numpy as np
 
 from . import artifacts, config as config_mod
 from .config import ConfigError
 from .dp import backend
+from .models import DESIGNS
 from .oracle import (OracleError, OracleSizeError, exact_optimal_cvar,
                      generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
@@ -39,9 +41,9 @@ def _load(args):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     if getattr(args, "threads", None) is not None:
-        cfg["threads"] = int(args.threads)
+        cfg["threads"] = args.threads
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = int(args.seed)
+        cfg["seed"] = args.seed
     if getattr(args, "alpha", None) is not None:
         cfg["alphas"] = _numbers(args.alpha, "alphas")
     if getattr(args, "r", None) is not None:
@@ -51,9 +53,8 @@ def _load(args):
     if getattr(args, "deploy_alpha", None) is not None:
         cfg["deploy"]["alpha"] = args.deploy_alpha
     if getattr(args, "rollouts", None) is not None:
-        cfg["deploy"]["rollouts"] = int(args.rollouts)
-    config_mod.resolve_config(cfg)  # re-validate after overrides
-    return cfg
+        cfg["deploy"]["rollouts"] = args.rollouts
+    return config_mod.resolve_config(cfg)  # re-validated after the overrides
 
 
 def _numbers(text, where):
@@ -251,8 +252,6 @@ def _pipeline_value(inst, alpha) -> float:
 
 
 def _default_corpus():
-    from importlib import resources
-
     ref = resources.files("cvarsafe").joinpath("data/tiny_corpus.json")
     with resources.as_file(ref) as path:
         return load_corpus(path)
@@ -264,7 +263,7 @@ def cmd_compare_designs(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     chash = config_mod.config_hash(cfg)
     counts = {}
-    for design in ("a", "b", "c", "d"):
+    for design in DESIGNS:
         dcfg = json.loads(json.dumps(cfg))  # deep copy
         dcfg["model"]["design"] = design
         if design != "b":  # a pump is configured for design b only
@@ -278,7 +277,7 @@ def cmd_compare_designs(args) -> int:
             for r in cfg["rs"]:
                 counts[(design, alpha, r)] = extract_safe_set(surface, r).cell_count
     rows = []
-    for design in ("a", "b", "c", "d"):
+    for design in DESIGNS:
         for alpha in cfg["alphas"]:
             for r in cfg["rs"]:
                 n = counts[(design, alpha, r)]

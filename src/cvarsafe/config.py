@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import fields as dataclass_fields
 
-from .cvar import Pmf
+from .cvar import Pmf, _check_alpha
 from .grids import AugmentedGrid
-from .models import (StormwaterParams, SystemModel, default_disturbance,
-                     design_params, make_stormwater_model, smoke_disturbance)
+from .models import (DESIGNS, PumpParams, StormwaterParams, SystemModel,
+                     default_disturbance, design_params, make_stormwater_model,
+                     smoke_disturbance)
 
 __all__ = ["ConfigError", "load_config", "resolve_config", "config_hash",
            "sweep_hash", "build_model", "build_grid"]
@@ -92,16 +93,12 @@ def _require(cond, where, msg):
 
 
 def _count(value, where, minimum):
-    """``value`` as an int; a non-integral value or one below ``minimum``
-    is a ConfigError naming ``where``."""
-    try:
-        n = int(value)
-        integral = not isinstance(value, bool) and n == float(value)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    _require(integral, where, f"expected an integer count, got {value!r}")
-    _require(n >= minimum, where, f"count must be >= {minimum}")
-    return n
+    """``value`` as an int if it is a number (``_number``) with an integral
+    value of at least ``minimum``, else a ConfigError naming ``where``."""
+    _require(_number(value, where) == int(value), where,
+             f"expected an integer count, got {value!r}")
+    _require(value >= minimum, where, f"count must be >= {minimum}")
+    return int(value)
 
 
 def _number(value, where):
@@ -117,8 +114,8 @@ def _validate(cfg: dict) -> None:
     """Check every field, naming its path on failure; counts are converted
     to ints in place."""
     design = cfg["model"]["design"]
-    _require(design in ("a", "b", "c", "d"), "model.design",
-             f"must be one of a/b/c/d, got {design!r}")
+    _require(design in DESIGNS, "model.design",
+             f"must be one of {'/'.join(DESIGNS)}, got {design!r}")
     params = cfg["model"]["params"]
     for name, value in params.items():
         where = f"model.params.{name}"
@@ -143,6 +140,8 @@ def _validate(cfg: dict) -> None:
         for i, pair in enumerate(dist):
             _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
                      f"model.disturbance[{i}]", "expected a [value, prob] pair")
+            for j, v in enumerate(pair):
+                _number(v, f"model.disturbance[{i}][{j}]")
     grid = cfg["grid"]
     x = grid["x"]
     _require(isinstance(x, list) and len(x) == 2, "grid.x",
@@ -157,18 +156,20 @@ def _validate(cfg: dict) -> None:
     x0 = cfg["deploy"]["x0"]
     _require(isinstance(x0, list) and len(x0) == 2, "deploy.x0",
              "expected two coordinates")
-    for field, values in (("alphas", cfg["alphas"]), ("rs", cfg["rs"]),
-                          ("deploy.x0", x0)):
+    for field, values in (("rs", cfg["rs"]), ("deploy.x0", x0)):
         for i, v in enumerate(values):
             _number(v, f"{field}[{i}]")
-    for i, a in enumerate(cfg["alphas"]):
-        _require(0.0 < a <= 1.0, f"alphas[{i}]", f"must be in (0, 1], got {a!r}")
+    risk_levels = [(f"alphas[{i}]", a) for i, a in enumerate(cfg["alphas"])]
+    for where, a in risk_levels + [("deploy.alpha", cfg["deploy"]["alpha"])]:
+        _number(a, where)
+        try:
+            _check_alpha(a)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     cfg["threads"] = _count(cfg["threads"], "threads", 1)
     cfg["seed"] = _count(cfg["seed"], "seed", 0)
     for key in ("rollouts", "csv_max"):
         cfg["deploy"][key] = _count(cfg["deploy"][key], f"deploy.{key}", 0)
-    _require(0.0 < _number(cfg["deploy"]["alpha"], "deploy.alpha") <= 1.0,
-             "deploy.alpha", "must be in (0, 1]")
     persist = cfg["flags"]["persist_tables"]
     _require(isinstance(persist, bool), "flags.persist_tables",
              f"expected true or false, got {persist!r}")
@@ -196,8 +197,6 @@ def sweep_hash(cfg: dict) -> str:
 def build_model(cfg: dict) -> SystemModel:
     params_cfg = dict(cfg["model"]["params"])
     if "pump" in params_cfg:
-        from .models import PumpParams
-
         params_cfg["pump"] = PumpParams(**params_cfg["pump"])
     try:
         params = design_params(cfg["model"]["design"], **params_cfg)

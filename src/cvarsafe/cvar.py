@@ -44,15 +44,9 @@ class Pmf:
         probs = np.atleast_1d(np.asarray(probs, dtype=np.float64))
         if values.ndim != 1 or values.shape != probs.shape:
             raise ValueError("values and probs must be 1-d arrays of equal length")
-        if values.size == 0:
-            raise ValueError("pmf needs at least one atom")
         if not np.all(np.isfinite(values)):
             raise ValueError("atom values must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("atom probabilities must be nonnegative")
-        total = probs.sum()
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {float(total)!r}, expected 1")
+        check_prob_rows(probs, "atom")
         # Sort and merge duplicates; bincount keeps the accumulation order
         # deterministic.
         uniq, inverse = np.unique(values, return_inverse=True)
@@ -97,6 +91,18 @@ class Pmf:
         return list(zip(self.values.tolist(), self.probs.tolist()))
 
 
+def check_prob_rows(probs: np.ndarray, what: str) -> None:
+    """Raise ValueError unless all probabilities are >= 0 and each row (last
+    axis) sums to 1 within ``PROB_TOL``: conditions that a NaN fails."""
+    if not (probs >= 0.0).all():
+        bad = float(probs[~(probs >= 0.0)][0])
+        raise ValueError(f"{what} probabilities must be nonnegative, got {bad!r}")
+    sums = probs.sum(axis=-1)
+    if not (np.abs(sums - 1.0) <= PROB_TOL).all():
+        worst = float(np.ravel(sums)[np.argmax(np.abs(sums - 1.0))])
+        raise ValueError(f"{what} probabilities sum to {worst!r}, expected 1")
+
+
 def _check_alpha(alpha, upper_open=False):
     a = float(alpha)
     if not 0.0 < a <= 1.0 or (upper_open and a == 1.0):
@@ -128,6 +134,13 @@ def expected_excess(dist: Pmf, s: float) -> float:
     return float(np.maximum(dist.values - float(s), 0.0) @ dist.probs)
 
 
+def minimize_dual(s, excess, alpha):
+    """``(objective, best)``: ``s + excess / alpha`` and its first argmin along
+    axis 0, where ``s`` ascends, so ties go to the smallest s."""
+    objective = s + excess / _check_alpha(alpha)
+    return objective, objective.argmin(axis=0)
+
+
 def cvar_dual(dist: Pmf, alpha, s_grid=None):
     """CVaR at level alpha via the dual form min_s s + E[max(Y-s,0)] / alpha.
 
@@ -139,15 +152,13 @@ def cvar_dual(dist: Pmf, alpha, s_grid=None):
     -------
     (value, s_star) : tuple of floats
     """
-    a = _check_alpha(alpha)
     if s_grid is None:
         s_grid = dist.values
     s_grid = np.sort(np.asarray(s_grid, dtype=np.float64).ravel())
     if s_grid.size == 0:
         raise ValueError("s_grid must be nonempty")
     excess = np.maximum(dist.values[None, :] - s_grid[:, None], 0.0) @ dist.probs
-    objective = s_grid + excess / a
-    best = int(np.argmin(objective))  # first occurrence = smallest s
+    objective, best = minimize_dual(s_grid, excess, alpha)
     return float(objective[best]), float(s_grid[best])
 
 

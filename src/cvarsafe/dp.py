@@ -72,9 +72,9 @@ class TransitionTables:
 def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> TransitionTables:
     """Evaluate dynamics, costs, and interpolation corners on the grid.
 
-    Raises if a stage cost leaves [0, c_bar] or a next state leaves the grid
-    box after the model's own clipping: both indicate a model bug rather than
-    a condition to paper over.
+    Raises if a stage or terminal cost leaves [0, c_bar] or a next state
+    leaves the grid box after the model's own clipping, NaN included: each
+    indicates a model bug rather than a condition to paper over.
     """
     nodes = grid.x_nodes()
     actions = grid.action_axis
@@ -84,7 +84,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     cost = np.asarray(model.stage_cost(nodes[:, None, :], actions[None, :]),
                       dtype=np.float64)
     cost = np.broadcast_to(cost, (n_x, n_u)).copy()
-    if cost.min() < 0.0 or cost.max() > model.c_bar:
+    if not ((cost >= 0.0) & (cost <= model.c_bar)).all():  # NaN fails too
         raise ValueError(
             f"stage costs must lie in [0, {model.c_bar}], got range "
             f"[{cost.min()}, {cost.max()}]")
@@ -99,7 +99,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     idxs, fracs = [], []
     for d, ax in enumerate(grid.x_axes):
         coord = nxt[..., d]
-        if coord.min() < ax[0] or coord.max() > ax[-1]:
+        if not ((coord >= ax[0]) & (coord <= ax[-1])).all():
             raise RuntimeError(
                 f"transition left the grid along dimension {d}: "
                 f"[{coord.min()}, {coord.max()}] vs [{ax[0]}, {ax[-1]}]")
@@ -123,7 +123,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
 
     cz_idx, cz_frac = locate_batch(grid.z_axis, cost)
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
-    if terminal.min() < 0.0 or terminal.max() > model.c_bar:
+    if not ((terminal >= 0.0) & (terminal <= model.c_bar)).all():
         raise ValueError("terminal costs must lie in [0, c_bar]")
     return TransitionTables(cost, probs.copy(), corner_idx, corner_wt,
                             cz_idx.astype(np.int64), cz_frac, terminal)

@@ -16,6 +16,15 @@ import numpy as np
 __all__ = ["AugmentedGrid", "locate_batch"]
 
 
+def checked_axis(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array if it is a nonempty, strictly increasing
+    1-d array, else a ValueError naming the axis ``name``."""
+    ax = np.asarray(values, dtype=np.float64)
+    if ax.ndim != 1 or ax.size < 1 or not (np.diff(ax) > 0).all():
+        raise ValueError(f"{name} must be a nonempty, strictly increasing 1-d array")
+    return ax
+
+
 def locate_batch(axis: np.ndarray, v: np.ndarray):
     """Bracket each value on a sorted axis: (lower indices, fractions in [0, 1]).
 
@@ -51,15 +60,12 @@ class AugmentedGrid:
     s_axis: np.ndarray
 
     def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=np.float64) for ax in self.x_axes)
+        axes = tuple(checked_axis(ax, f"grid x axis {d}")
+                     for d, ax in enumerate(self.x_axes))
         object.__setattr__(self, "x_axes", axes)
         for name in ("z_axis", "action_axis", "s_axis"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        for ax in axes + (self.z_axis, self.action_axis, self.s_axis):
-            if ax.ndim != 1 or ax.size < 1:
-                raise ValueError("grid axes must be nonempty 1-d arrays")
-            if ax.size > 1 and not np.all(np.diff(ax) > 0):
-                raise ValueError("grid axes must be strictly increasing")
+            object.__setattr__(self, name, checked_axis(
+                getattr(self, name), "grid " + name.replace("_", " ")))
         if self.z_axis.size < 2:
             raise ValueError("z axis needs at least 2 nodes")
         # Row-major strides over the state axes and the cached node list.

@@ -19,9 +19,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cvar import PROB_TOL, Pmf
+from .cvar import Pmf, check_prob_rows
 
 __all__ = [
+    "DESIGNS",
     "PumpParams",
     "StormwaterParams",
     "SystemModel",
@@ -37,6 +38,9 @@ __all__ = [
     "q_pump_piecewise",
     "transition",
 ]
+
+
+DESIGNS = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class StormwaterParams:
     pump: Optional[PumpParams] = None
 
     def __post_init__(self):
-        if self.design not in ("a", "b", "c", "d"):
+        if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         for name in ("a1", "a2", "c_d", "g_tilde", "r_s", "r_v", "dt",
                      "r_cso1", "r_cso2"):
@@ -293,17 +297,16 @@ class SystemModel:
     def disturbance_rows(self, x, u):
         """Atom values and probs at (x, u), read-only arrays of shape (*batch, n_w)
         where batch broadcasts x.shape[:-1] with u.shape. A callable's rows must
-        share one shape, be >= 0 and sum to 1 within ``PROB_TOL`` each, else
-        ValueError."""
+        share one shape and pass ``cvar.check_prob_rows``, else ValueError."""
         d = self.disturbance
         if isinstance(d, Pmf):
             values, probs = d.values, d.probs
         else:
             values, probs = (np.asarray(a, dtype=np.float64) for a in d(x, u))
-            if (values.shape != probs.shape or probs.ndim == 0 or np.any(probs < 0.0)
-                    or np.any(np.abs(probs.sum(axis=-1) - 1.0) > PROB_TOL)):
-                raise ValueError(f"disturbance rows {values.shape}, {probs.shape} need "
-                                 f"one (..., n_w) shape and probs >= 0 summing to 1")
+            if values.shape != probs.shape or probs.ndim == 0:
+                raise ValueError(f"disturbance rows {values.shape}, {probs.shape} "
+                                 "need one (..., n_w) shape")
+            check_prob_rows(probs, "disturbance")
         shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)) + probs.shape[-1:]
         return np.broadcast_to(values, shape), np.broadcast_to(probs, shape)
 

@@ -24,8 +24,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cvar import PROB_TOL, Pmf, cvar_dual
-from .grids import AugmentedGrid
+from .cvar import Pmf, check_prob_rows, cvar_dual
+from .grids import AugmentedGrid, checked_axis
 from .models import SystemModel
 
 __all__ = [
@@ -69,17 +69,12 @@ class TinyInstance:
     x0: int
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.float64)
-        actions = np.asarray(self.actions, dtype=np.float64)
+        states = checked_axis(self.states, "states")
+        actions = checked_axis(self.actions, "actions")
         cost = np.asarray(self.cost, dtype=np.float64)
         terminal = np.asarray(self.terminal, dtype=np.float64)
         probs = np.asarray(self.probs, dtype=np.float64)
         next_idx = np.asarray(self.next_idx, dtype=np.int64)
-        for name, arr in (("states", states), ("actions", actions)):
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a nonempty 1-d array")
-            if arr.size > 1 and not np.all(np.diff(arr) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
         n_s, n_a = states.size, actions.size
         if cost.shape != (n_s, n_a):
             raise ValueError("cost table must be (n_states, n_actions)")
@@ -89,16 +84,13 @@ class TinyInstance:
             raise ValueError("probs must be (n_states, n_actions, n_atoms)")
         if next_idx.shape != probs.shape:
             raise ValueError("next_idx must match probs in shape")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=2) - 1.0) > PROB_TOL):
-            raise ValueError("probability rows must be nonnegative and sum to 1 "
-                             f"within {PROB_TOL}")
+        check_prob_rows(probs, "transition")
         if np.any(next_idx < 0) or np.any(next_idx >= n_s):
             raise ValueError("next_idx out of state range")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
-        lo = min(cost.min(), terminal.min())
-        hi = max(cost.max(), terminal.max())
-        if lo < 0.0 or hi > self.c_bar:
+        # Conditions that must hold, so that a NaN cost fails them.
+        if not all(((c >= 0.0) & (c <= self.c_bar)).all() for c in (cost, terminal)):
             raise ValueError("costs must lie in [0, c_bar]")
         if not 1 <= self.horizon <= 3:
             raise ValueError("tiny instances are limited to horizon <= 3")
@@ -220,17 +212,11 @@ class TinyInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "TinyInstance":
         try:
-            return cls(
-                states=np.asarray(d["states"], dtype=np.float64),
-                actions=np.asarray(d["actions"], dtype=np.float64),
-                cost=np.asarray(d["cost"], dtype=np.float64),
-                terminal=np.asarray(d["terminal"], dtype=np.float64),
-                probs=np.asarray(d["probs"], dtype=np.float64),
-                next_idx=np.asarray(d["next"], dtype=np.int64),
-                horizon=int(d["horizon"]),
-                c_bar=float(d["c_bar"]),
-                x0=int(d["x0"]),
-            )
+            # __post_init__ converts and checks the tables.
+            return cls(states=d["states"], actions=d["actions"], cost=d["cost"],
+                       terminal=d["terminal"], probs=d["probs"], next_idx=d["next"],
+                       horizon=int(d["horizon"]), c_bar=float(d["c_bar"]),
+                       x0=int(d["x0"]))
         except KeyError as exc:
             raise ValueError(f"instance record is missing field {exc}") from exc
 

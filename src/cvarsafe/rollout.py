@@ -64,7 +64,6 @@ class PrecommitmentPolicy:
 class RolloutBatch:
     """Recorded trajectories; identical (seed, config) gives identical records."""
 
-    seed: int
     states: np.ndarray   # (N + 1, num, state_dim)
     zs: np.ndarray       # (N + 1, num)
     actions: np.ndarray  # (N, num)
@@ -136,7 +135,7 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
         y = np.maximum(zs[horizon, lo:hi],
                        model.terminal_cost(states[horizon, lo:hi]))
         y_prime[lo:hi] = y + model.g_lower
-    return RolloutBatch(int(seed), states, zs, acts, shocks, y_prime)
+    return RolloutBatch(states, zs, acts, shocks, y_prime)
 
 
 def estimate_risk(batch: RolloutBatch, alpha, g_lower: float = 0.0,

@@ -4,7 +4,8 @@ The pipeline:
 
   1. solve value iteration for every s on the grid's s axis and collect the
      z = 0 slice of J_0 (the ``DualSweep``),
-  2. per state node, minimize s + V^s(x) / alpha over the s axis
+  2. per state node, minimize s + V^s(x) / alpha over the s axis with
+     ``cvar.minimize_dual``, the same dual minimization as ``cvar_dual``
      (the ``RiskSurface``: optimal value, its shift by g_lower, argmin s),
   3. threshold the surface at r to get the boolean ``SafeSetMask``.
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cvar import minimize_dual
 from .dp import precompute_transitions, value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
@@ -108,18 +110,14 @@ def risk_value(dsweep: DualSweep, alpha, g_lower: float = 0.0) -> RiskSurface:
     """Outer minimization over the swept dual parameters.
 
     Per node, minimizes s + V^s(x) / alpha over the s axis and records the
-    smallest minimizing s. ``g_lower`` is the model's cost offset (0 for the
-    stormwater designs), added once to produce w_star.
+    smallest minimizing s, both by ``cvar.minimize_dual``. ``g_lower`` is the
+    model's cost offset (0 for the stormwater designs), added once to produce
+    w_star.
     """
-    a = float(alpha)
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    objective = dsweep.s_values[:, None] + dsweep.v0 / a
-    best = np.argmin(objective, axis=0)  # first occurrence = smallest s
-    cols = np.arange(dsweep.v0.shape[1])
-    v_star = objective[best, cols]
-    s_star = dsweep.s_values[best]
-    return RiskSurface(a, v_star, v_star + g_lower, s_star)
+    objective, best = minimize_dual(dsweep.s_values[:, None], dsweep.v0, alpha)
+    v_star = objective[best, np.arange(dsweep.v0.shape[1])]
+    return RiskSurface(float(alpha), v_star, v_star + g_lower,
+                       dsweep.s_values[best])
 
 
 def extract_safe_set(surface: RiskSurface, r: float) -> SafeSetMask:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, determinism, error paths."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -337,6 +338,16 @@ class TestOracleCommand:
         assert "corpus parse failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_corpus_nan_probability_refused_at_parse(self, tmp_path, capsys):
+        inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],
+                "horizon": 1, "next": [[[0, 1]], [[0, 1]]],
+                "probs": [[[math.nan, 1.0]], [[0.5, 0.5]]],
+                "states": [0.0, 1.0], "terminal": [0.5, 1.5], "x0": 0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 1, "instances": [inst]}))
+        assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        assert "corpus parse failed" in capsys.readouterr().err
+
     def test_empty_corpus_warns_and_passes(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"schema": 1, "instances": []}')
@@ -488,6 +499,17 @@ class TestConfigErrors:
         ({"seed": "x"}, "seed"),
         ({"seed": 1.5}, "seed"),
         ({"seed": -1}, "seed"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": " 3 "}, "seed"),
+        ({"threads": "2"}, "threads"),
+        ({"grid": {**TINY_CONFIG["grid"], "x": ["7", 7]}}, "grid.x[0]"),
+        ({"model": {"disturbance": "smoke", "params": {"horizon": "5"}}},
+         "model.params.horizon"),
+        ({"model": {"disturbance": [["12", 1]]}}, "model.disturbance[0][0]"),
+        ({"model": {"disturbance": [[True, 1]]}}, "model.disturbance[0][0]"),
+        ({"model": {"disturbance": [[12.0, "1"]]}}, "model.disturbance[0][1]"),
+        ({"model": {"disturbance": [[10.0, math.nan], [14.0, 1.0]]}},
+         "model.disturbance[0][1]"),
     ])
     def test_non_numeric_config_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, "config.json", overrides)

@@ -1,10 +1,13 @@
 """Tests for the finite-distribution risk functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import Pmf, cvar_dual, cvar_tail, expected_excess, var
+from cvarsafe import (DualSweep, Pmf, TinyInstance, cvar_dual, cvar_tail,
+                      expected_excess, make_stormwater_model, risk_value, var)
 
 QUARTER = Pmf([1, 2, 3, 4], [0.25, 0.25, 0.25, 0.25])
 COIN = Pmf([0, 2], [0.5, 0.5])
@@ -34,6 +37,8 @@ class TestPmf:
             Pmf([np.inf], [1.0])
         with pytest.raises(ValueError, match=r"sum to 1\.0000000001, expected 1"):
             Pmf([0.0, 1.0], [0.5, 0.5000000001])
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            Pmf([1.0, 2.0], [np.nan, 1.0])
 
     def test_from_samples(self):
         p = Pmf.from_samples([1.0, 1.0, 3.0, 1.0])
@@ -193,3 +198,48 @@ class TestRiskProperties:
             for s in (p.min_value, p.min_value - 4.0):
                 L = s + expected_excess(p, s) / alpha
                 assert_allclose(L, (p.mean() - (1 - alpha) * s) / alpha, atol=1e-12)
+
+
+def pmf_row(probs):
+    Pmf([10.0, 14.0], probs)
+
+
+def disturbance_row(probs):
+    model = dataclasses.replace(
+        make_stormwater_model(),
+        disturbance=lambda x, u: (np.array([10.0, 14.0]), probs))
+    model.disturbance_rows(np.zeros((3, 2)), np.zeros(3))
+
+
+def transition_row(probs):
+    TinyInstance(states=[0.0, 1.0], actions=[0.0], cost=[[0.5], [1.0]],
+                 terminal=[0.5, 1.5], probs=[[[0.5, 0.5]], [probs]],
+                 next_idx=[[[0, 1]], [[0, 1]]], horizon=1, c_bar=2.0, x0=0)
+
+
+class TestSharedRules:
+    """Rules that every caller reaches through one function of ``cvar``."""
+
+    @pytest.mark.parametrize("probs, error", [
+        ([0.5, 0.5000000001], r"sum to 1\.0000000001, expected 1"),
+        ([1.0, np.nan], "must be nonnegative, got nan"),
+        ([1.25, -0.25], "must be nonnegative, got -0.25"),
+    ], ids=["off-by-1e-10", "nan", "negative"])
+    @pytest.mark.parametrize("law", [pmf_row, disturbance_row, transition_row],
+                             ids=["Pmf", "disturbance_rows", "TinyInstance"])
+    def test_every_law_refuses_a_bad_row_alike(self, law, probs, error):
+        with pytest.raises(ValueError, match=error):
+            law(np.array(probs))
+
+    def test_risk_value_matches_cvar_dual_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        s = np.linspace(-12.0, 12.0, 49)
+        pmfs = [random_pmf(rng) for _ in range(300)]
+        v0 = np.stack([np.maximum(p.values[None, :] - s[:, None], 0.0) @ p.probs
+                       for p in pmfs], axis=1)
+        dsweep = DualSweep(s, v0)
+        for alpha in (0.05, 0.25, 0.5, 0.99, 1.0):
+            surface = risk_value(dsweep, alpha)
+            dual = np.array([cvar_dual(p, alpha, s_grid=s) for p in pmfs])
+            assert np.array_equal(surface.v_star, dual[:, 0])
+            assert np.array_equal(surface.s_star, dual[:, 1])

@@ -212,10 +212,34 @@ class TestDisturbanceRows:
         (np.array([0.1, 0.6]), np.array([0.3, 0.6])),
         (np.array([0.1, 0.6]), np.array([1.2, -0.2])),
         (np.array([0.1, 0.6, 0.9]), np.array([0.3, 0.7])),
-    ], ids=["sum-below-one", "negative", "shape-mismatch"])
+        (np.array([0.1, 0.6]), np.array([np.nan, 1.0])),
+    ], ids=["sum-below-one", "negative", "shape-mismatch", "nan"])
     def test_invalid_rows_rejected(self, rows):
         model = dataclasses.replace(line_model(), disturbance=lambda x, u: rows)
         with pytest.raises(ValueError, match="disturbance"):
+            precompute_transitions(model, line_grid())
+
+
+def nan_above(fn, limit):
+    """``fn`` with every output above ``limit`` replaced by NaN."""
+    def wrapped(*args):
+        out = np.asarray(fn(*args))
+        return np.where(out > limit, np.nan, out)
+    return wrapped
+
+
+class TestTransitionRangeChecks:
+    # Each range is a condition that must hold, so a NaN fails it.
+    @pytest.mark.parametrize("field, limit, error, match", [
+        ("dynamics", 1.5, RuntimeError, "transition left the grid"),
+        ("stage_cost", 0.4, ValueError, "stage costs must lie"),
+        ("terminal_cost", 0.4, ValueError, "terminal costs must lie"),
+    ])
+    def test_nan_is_out_of_range(self, field, limit, error, match):
+        model = line_model()
+        model = dataclasses.replace(
+            model, **{field: nan_above(getattr(model, field), limit)})
+        with pytest.raises(error, match=match):
             precompute_transitions(model, line_grid())
 
 

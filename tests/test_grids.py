@@ -37,6 +37,17 @@ class TestConstruction:
                           s_axis=np.array([0.0, 0.25, 2.0]))
         assert g.n_xnodes == 3
 
+    @pytest.mark.parametrize("axes, error", [
+        ({"action_axis": [1.0, 0.0]}, "grid action axis must be"),
+        ({"z_axis": [0.0, np.nan, 2.0]}, "grid z axis must be"),
+        ({"x_axes": ([0.0, 1.0], [])}, "grid x axis 1 must be"),
+    ], ids=["descending", "nan", "empty"])
+    def test_bad_axis_named(self, axes, error):
+        spec = {"x_axes": ([0.0, 1.0],), "z_axis": [0.0, 2.0],
+                "action_axis": [0.0, 1.0], "s_axis": [0.0, 2.0], **axes}
+        with pytest.raises(ValueError, match=error):
+            AugmentedGrid(**spec)
+
     def test_singleton_x_axis_allowed(self):
         g = AugmentedGrid(x_axes=(np.array([1.0]),),
                           z_axis=np.array([0.0, 1.0]),

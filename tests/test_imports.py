@@ -1,9 +1,12 @@
-"""Import hygiene: no unused module-level imports, no scipy at run time.
+"""Import hygiene: no unused module-level imports, no function-local
+imports in the library, no scipy at run time.
 
 The library modules and the test files are parsed with ``ast``; a name
 bound by a top-level ``import`` counts as used when it appears as a name
 anywhere in the module or is listed in the module's ``__all__``. The
 package ``__init__`` is skipped: its imports are the public re-exports.
+A library module imports only at its top level, where the unused-import
+check can see every import.
 """
 
 import ast
@@ -15,8 +18,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "cvarsafe").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted(p for p in (ROOT / "src" / "cvarsafe").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -39,6 +43,15 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def local_imports(source: str):
+    """Line numbers of the imports that are not at the module's top level."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top)
+
+
 def test_detects_unused_and_accepts_used():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\nfrom a import b, c as d\n"
@@ -46,9 +59,21 @@ def test_detects_unused_and_accepts_used():
     assert unused_imports(source) == [(2, "os"), (4, "d")]
 
 
+def test_detects_local_imports():
+    source = ("import os\n"
+              "def f():\n    from a import b\n    return b\n"
+              "class C:\n    def g(self):\n        import c\n")
+    assert local_imports(source) == [3, 7]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_local_imports_in_library(path):
+    assert local_imports(path.read_text()) == []
 
 
 def test_package_imports_without_scipy():

@@ -1,5 +1,7 @@
 """Tests of the exact tiny-instance verifiers themselves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,6 +30,19 @@ def two_state_instance():
         c_bar=2.0,
         x0=0,
     )
+
+
+@pytest.mark.parametrize("field, index, error", [
+    ("probs", (1, 0, 0), "transition probabilities must be nonnegative"),
+    ("cost", (0, 1), "costs must lie in"),
+    ("terminal", (1,), "costs must lie in"),
+])
+def test_nan_entry_rejected(field, index, error):
+    inst = two_state_instance()
+    table = getattr(inst, field).copy()
+    table[index] = np.nan
+    with pytest.raises(ValueError, match=error):
+        dataclasses.replace(inst, **{field: table})
 
 
 class TestExactPolicyCvar:
