@@ -55,13 +55,22 @@ class Pmf:
         self.probs = merged
 
     @classmethod
+    def _merged(cls, values: np.ndarray, probs: np.ndarray) -> "Pmf":
+        """A pmf of atoms that are already sorted, distinct and valid."""
+        out = object.__new__(cls)
+        out.values, out.probs = values, probs
+        return out
+
+    @classmethod
     def from_samples(cls, samples):
         """Empirical pmf of a sample array (equal weight per draw)."""
         samples = np.asarray(samples, dtype=np.float64).ravel()
         if samples.size == 0:
             raise ValueError("need at least one sample")
         uniq, counts = np.unique(samples, return_counts=True)
-        return cls(uniq, counts / samples.size)
+        if not np.isfinite(uniq[[0, -1]]).all():  # -inf sorts first, inf and NaN last
+            raise ValueError("atom values must be finite")
+        return cls._merged(uniq, counts / samples.size)
 
     def __len__(self):
         return self.values.size
@@ -82,10 +91,7 @@ class Pmf:
 
     def shift(self, a: float) -> "Pmf":
         """Pmf of Y + a (translation of every atom)."""
-        out = object.__new__(Pmf)
-        out.values = self.values + float(a)
-        out.probs = self.probs.copy()
-        return out
+        return Pmf._merged(self.values + float(a), self.probs.copy())
 
     def atoms(self):
         return list(zip(self.values.tolist(), self.probs.tolist()))

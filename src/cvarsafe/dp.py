@@ -11,7 +11,8 @@ atoms) does not depend on s, so it is precomputed once and shared across a
 whole dual-parameter sweep.
 
 One Bellman step over every (state node, running-max node) pair is the hot
-loop of the solver; ``sweep_kernel`` runs it in numpy.
+loop of the solver; ``sweep_kernel`` runs it in numpy. Below the stage cost
+the expectation, linear in J_{t+1}, is interpolated once at z' = c(x, u).
 """
 
 from __future__ import annotations
@@ -138,54 +139,37 @@ def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_
     """One backward Bellman step over every (state node, z node) pair.
 
     Inputs are ``J_next`` (n_x, n_z), the z axis and the fields of
-    ``TransitionTables`` (shapes listed there). For each (x, u) and atom w
-    the continuation value is the corner-weighted sum of ``J_next`` at
-    z' = max(z, c(x, u)), interpolated along z. The z nodes split in two:
-
-    * at or above c(x, u), z' = z is a node, so each corner contributes
-      ``wt * J_next[node, jz]``; one gather per (atom, corner) fills a
-      z-major (n_z, n_x, n_u) buffer with all of them;
-    * below c(x, u), every z node shares z' = c(x, u), computed once per
-      (x, u) from the same buffer.
-
-    Each element sees the same operations in the same order as the scalar
-    loop (corners summed into an atom value, atoms summed weighted by their
-    probability), so tables are bit-reproducible. Returns the minimized
-    values (n_x, n_z) and the argmin action indices (n_x, n_z); ties go to
-    the lowest action index.
+    ``TransitionTables`` (shapes listed there). One gather per (atom,
+    corner) builds the z-major (n_z, n_x, n_u) expectation ``q`` of
+    ``J_next`` at z' = z, the backup wherever z >= c(x, u). Below c(x, u)
+    every z continues from z' = c(x, u), and the expectation is linear in
+    ``J_next``, so the backup there is ``q`` interpolated at c. Entries at
+    or above c are bit-identical to a scalar loop that interpolates inside
+    every (atom, corner) term; the others differ from it by at most
+    ``2 * gamma(n_w + n_c + 3) * max|J_next|`` per action, with
+    ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit total weight.
+    Returns the minimized values and the argmin action indices, both
+    (n_x, n_z); ties go to the lowest action index.
     """
-    n_x, n_z = J_next.shape
-    n_u = cost.shape[1]
-    n_w = probs.shape[2]
-    n_c = corner_idx.shape[3]
+    n_z = J_next.shape[1]
     J_z = np.ascontiguousarray(J_next.T, dtype=np.float64)  # (n_z, n_x)
-    # Flat positions of (cz_idx, x, u) and (cz_idx + 1, x, u) in a z-major buffer.
-    flat = np.arange(n_x * n_u).reshape(n_x, n_u)
-    at_lo = flat + cz_idx * (n_x * n_u)
-    at_hi = flat + np.minimum(cz_idx + 1, n_z - 1) * (n_x * n_u)
-    keep = 1.0 - cz_frac
-    q = np.zeros((n_z, n_x, n_u))   # z nodes at or above the stage cost
+    q = np.zeros((n_z,) + cost.shape)
     v = np.empty_like(q)
     buf = np.empty_like(q)
-    buf_flat = buf.reshape(-1)
-    q_cost = np.zeros((n_x, n_u))   # z nodes below it: z' = c(x, u)
-    v_cost = np.empty((n_x, n_u))
-    for iw in range(n_w):
+    for iw in range(probs.shape[2]):
         v.fill(0.0)
-        v_cost.fill(0.0)
-        for c in range(n_c):
+        for c in range(corner_idx.shape[3]):
             # Contiguous copies: the gather and the broadcasts then run at stride 1.
-            wt = np.ascontiguousarray(corner_wt[:, :, iw, c])
             np.take(J_z, np.ascontiguousarray(corner_idx[:, :, iw, c]), axis=1,
                     out=buf)
-            v_cost += wt * (keep * buf_flat.take(at_lo) + cz_frac * buf_flat.take(at_hi))
-            buf *= wt
+            buf *= np.ascontiguousarray(corner_wt[:, :, iw, c])
             v += buf
-        p = np.ascontiguousarray(probs[:, :, iw])
-        v *= p
+        v *= np.ascontiguousarray(probs[:, :, iw])
         q += v
-        q_cost += p * v_cost
-    np.copyto(q, q_cost, where=z_axis[:, None, None] < cost)
+    lo = np.take_along_axis(q, cz_idx[None], axis=0)[0]
+    hi = np.take_along_axis(q, np.minimum(cz_idx + 1, n_z - 1)[None], axis=0)[0]
+    np.copyto(q, (1.0 - cz_frac) * lo + cz_frac * hi,
+              where=z_axis[:, None, None] < cost)
     best_u = np.argmin(q, axis=2)  # first occurrence: lowest action index
     best = np.take_along_axis(q, best_u[..., None], axis=2)[..., 0]
     return np.ascontiguousarray(best.T), np.ascontiguousarray(best_u.T)

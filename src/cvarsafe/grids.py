@@ -18,10 +18,12 @@ __all__ = ["AugmentedGrid", "locate_batch"]
 
 def checked_axis(values, name: str) -> np.ndarray:
     """``values`` as a float64 array if it is a nonempty, strictly increasing
-    1-d array, else a ValueError naming the axis ``name``."""
+    1-d array of finite nodes, else a ValueError naming the axis ``name``."""
     ax = np.asarray(values, dtype=np.float64)
-    if ax.ndim != 1 or ax.size < 1 or not (np.diff(ax) > 0).all():
-        raise ValueError(f"{name} must be a nonempty, strictly increasing 1-d array")
+    if ax.ndim != 1 or not (ax.size and np.isfinite(ax).all()
+                            and (np.diff(ax) > 0).all()):
+        raise ValueError(
+            f"{name} must be a nonempty, strictly increasing, finite 1-d array")
     return ax
 
 

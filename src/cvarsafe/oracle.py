@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .config import _count, _number, _nested_numbers
 from .cvar import Pmf, check_prob_rows, cvar_dual
 from .grids import AugmentedGrid, checked_axis
 from .models import SystemModel
@@ -74,7 +75,7 @@ class TinyInstance:
         cost = np.asarray(self.cost, dtype=np.float64)
         terminal = np.asarray(self.terminal, dtype=np.float64)
         probs = np.asarray(self.probs, dtype=np.float64)
-        next_idx = np.asarray(self.next_idx, dtype=np.int64)
+        next_idx = np.asarray(self.next_idx, dtype=np.float64)
         n_s, n_a = states.size, actions.size
         if cost.shape != (n_s, n_a):
             raise ValueError("cost table must be (n_states, n_actions)")
@@ -85,8 +86,10 @@ class TinyInstance:
         if next_idx.shape != probs.shape:
             raise ValueError("next_idx must match probs in shape")
         check_prob_rows(probs, "transition")
-        if np.any(next_idx < 0) or np.any(next_idx >= n_s):
-            raise ValueError("next_idx out of state range")
+        # Integral before the cast, which would truncate 0.6 to state 0.
+        if not ((next_idx >= 0) & (next_idx < n_s)
+                & (next_idx == np.round(next_idx))).all():
+            raise ValueError("next_idx must hold integral state indices in range")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
         # Conditions that must hold, so that a NaN cost fails them.
@@ -98,7 +101,7 @@ class TinyInstance:
             raise ValueError("x0 out of state range")
         for name, arr in (("states", states), ("actions", actions),
                           ("cost", cost), ("terminal", terminal),
-                          ("probs", probs), ("next_idx", next_idx)):
+                          ("probs", probs), ("next_idx", next_idx.astype(np.int64))):
             object.__setattr__(self, name, arr)
 
     @property
@@ -212,11 +215,14 @@ class TinyInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "TinyInstance":
         try:
-            # __post_init__ converts and checks the tables.
+            # JSON numbers only; __post_init__ converts and checks the tables.
+            for key in ("states", "actions", "cost", "terminal", "probs", "next"):
+                _nested_numbers(d[key], key)
             return cls(states=d["states"], actions=d["actions"], cost=d["cost"],
                        terminal=d["terminal"], probs=d["probs"], next_idx=d["next"],
-                       horizon=int(d["horizon"]), c_bar=float(d["c_bar"]),
-                       x0=int(d["x0"]))
+                       horizon=_count(d["horizon"], "horizon", 1),
+                       c_bar=float(_number(d["c_bar"], "c_bar")),
+                       x0=_count(d["x0"], "x0", 0))
         except KeyError as exc:
             raise ValueError(f"instance record is missing field {exc}") from exc
 

@@ -348,6 +348,27 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--corpus", str(bad)]) == 2
         assert "corpus parse failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"horizon": 2.7}, {"x0": 0.9}, {"next": [[[0.6, 1]], [[0, 1]]]},
+        {"horizon": True}, {"horizon": "2"}, {"x0": "1"},
+        {"next": [[["0", "1"]], [[0, 1]]]}, {"next": [[[True, 1]], [[0, 1]]]},
+        {"c_bar": "2"}, {"states": ["0", 1.0]}, {"actions": [True]},
+        {"states": [math.nan], "cost": [[0.5]], "terminal": [0.5],
+         "next": [[[0, 0]]], "probs": [[[0.5, 0.5]]]},
+    ], ids=["horizon-fraction", "x0-fraction", "next-fraction", "horizon-bool",
+            "horizon-string", "x0-string", "next-strings", "next-bool",
+            "c_bar-string", "states-string", "actions-bool", "single-nan-state"])
+    def test_corpus_bad_number_refused_at_parse(self, tmp_path, capsys, fields):
+        # A number is never truncated, nor read from a string or a bool.
+        inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],
+                "horizon": 1, "next": [[[0, 1]], [[0, 1]]],
+                "probs": [[[0.5, 0.5]], [[0.5, 0.5]]],
+                "states": [0.0, 1.0], "terminal": [0.5, 1.5], "x0": 0, **fields}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 1, "instances": [inst]}))
+        assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        assert "corpus parse failed" in capsys.readouterr().err
+
     def test_empty_corpus_warns_and_passes(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"schema": 1, "instances": []}')

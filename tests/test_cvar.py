@@ -44,6 +44,14 @@ class TestPmf:
         p = Pmf.from_samples([1.0, 1.0, 3.0, 1.0])
         assert p.values.tolist() == [1.0, 3.0]
         assert_allclose(p.probs, [0.75, 0.25])
+        # The same atoms as merging equal-weight draws through the constructor.
+        draws = np.random.default_rng(0).integers(0, 40, 1000) * 0.125
+        q, r = Pmf.from_samples(draws), Pmf(draws, np.full(draws.size, 1e-3))
+        assert np.array_equal(q.values, r.values)
+        assert_allclose(q.probs, r.probs, rtol=1e-12)
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [-np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                Pmf.from_samples(bad)
 
     def test_shift(self):
         q = COIN.shift(1.5)

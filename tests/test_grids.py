@@ -41,7 +41,10 @@ class TestConstruction:
         ({"action_axis": [1.0, 0.0]}, "grid action axis must be"),
         ({"z_axis": [0.0, np.nan, 2.0]}, "grid z axis must be"),
         ({"x_axes": ([0.0, 1.0], [])}, "grid x axis 1 must be"),
-    ], ids=["descending", "nan", "empty"])
+        ({"x_axes": ([np.nan],)}, "grid x axis 0 must be"),
+        ({"x_axes": ([np.inf],)}, "grid x axis 0 must be"),
+        ({"x_axes": ([0.0, 1.0], [0.0, np.inf])}, "grid x axis 1 must be"),
+    ], ids=["descending", "nan", "empty", "single-nan", "single-inf", "inf-last"])
     def test_bad_axis_named(self, axes, error):
         spec = {"x_axes": ([0.0, 1.0],), "z_axis": [0.0, 2.0],
                 "action_axis": [0.0, 1.0], "s_axis": [0.0, 2.0], **axes}

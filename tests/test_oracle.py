@@ -45,6 +45,25 @@ def test_nan_entry_rejected(field, index, error):
         dataclasses.replace(inst, **{field: table})
 
 
+@pytest.mark.parametrize("node", [np.nan, np.inf])
+def test_single_nonfinite_state_rejected(node):
+    inst = two_state_instance()
+    with pytest.raises(ValueError, match="states must be"):
+        dataclasses.replace(inst, states=np.array([node]), cost=inst.cost[:1],
+                            terminal=inst.terminal[:1], probs=inst.probs[:1],
+                            next_idx=np.zeros_like(inst.next_idx[:1]))
+
+
+@pytest.mark.parametrize("index", [0.6, np.nan, 2.0, -1.0],
+                         ids=["fraction", "nan", "above", "below"])
+def test_bad_next_state_rejected(index):
+    inst = two_state_instance()
+    next_idx = inst.next_idx.astype(np.float64)
+    next_idx[0, 0, 0] = index
+    with pytest.raises(ValueError, match="next_idx must hold integral state indices"):
+        dataclasses.replace(inst, next_idx=next_idx)
+
+
 class TestExactPolicyCvar:
     def test_deterministic_point_mass(self):
         inst = two_state_instance()
