@@ -110,14 +110,6 @@ def _number(value, where):
     return value
 
 
-def _nested_numbers(values, where):
-    """``_number`` on a number or on every entry of (nested) lists of them."""
-    if not isinstance(values, (list, tuple)):
-        return _number(values, where)
-    for i, value in enumerate(values):
-        _nested_numbers(value, f"{where}[{i}]")
-
-
 def _validate(cfg: dict) -> None:
     """Check every field, naming its path on failure; counts are converted
     to ints in place."""
@@ -148,7 +140,8 @@ def _validate(cfg: dict) -> None:
         for i, pair in enumerate(dist):
             _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
                      f"model.disturbance[{i}]", "expected a [value, prob] pair")
-            _nested_numbers(pair, f"model.disturbance[{i}]")
+            for j, v in enumerate(pair):
+                _number(v, f"model.disturbance[{i}][{j}]")
     grid = cfg["grid"]
     x = grid["x"]
     _require(isinstance(x, list) and len(x) == 2, "grid.x",
@@ -163,8 +156,9 @@ def _validate(cfg: dict) -> None:
     x0 = cfg["deploy"]["x0"]
     _require(isinstance(x0, list) and len(x0) == 2, "deploy.x0",
              "expected two coordinates")
-    _nested_numbers(cfg["rs"], "rs")
-    _nested_numbers(x0, "deploy.x0")
+    for field, values in (("rs", cfg["rs"]), ("deploy.x0", x0)):
+        for i, v in enumerate(values):
+            _number(v, f"{field}[{i}]")
     risk_levels = [(f"alphas[{i}]", a) for i, a in enumerate(cfg["alphas"])]
     for where, a in risk_levels + [("deploy.alpha", cfg["deploy"]["alpha"])]:
         _number(a, where)

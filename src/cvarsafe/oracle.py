@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .config import _count, _number, _nested_numbers
 from .cvar import Pmf, check_prob_rows, cvar_dual
 from .grids import AugmentedGrid, checked_axis
 from .models import SystemModel
@@ -86,22 +86,23 @@ class TinyInstance:
         if next_idx.shape != probs.shape:
             raise ValueError("next_idx must match probs in shape")
         check_prob_rows(probs, "transition")
-        # Integral before the cast, which would truncate 0.6 to state 0.
-        if not ((next_idx >= 0) & (next_idx < n_s)
-                & (next_idx == np.round(next_idx))).all():
+        # Membership, not a range check: 1.0 is a state index, 0.6 and NaN
+        # are not (the int64 cast below would truncate them).
+        if not np.isin(next_idx, np.arange(n_s)).all():
             raise ValueError("next_idx must hold integral state indices in range")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
         # Conditions that must hold, so that a NaN cost fails them.
         if not all(((c >= 0.0) & (c <= self.c_bar)).all() for c in (cost, terminal)):
             raise ValueError("costs must lie in [0, c_bar]")
-        if not 1 <= self.horizon <= 3:
-            raise ValueError("tiny instances are limited to horizon <= 3")
-        if not 0 <= self.x0 < n_s:
-            raise ValueError("x0 out of state range")
+        if self.horizon not in (1, 2, 3):
+            raise ValueError("tiny instances need a horizon of 1, 2 or 3")
+        if self.x0 not in range(n_s):
+            raise ValueError("x0 must be an integral state index in range")
         for name, arr in (("states", states), ("actions", actions),
                           ("cost", cost), ("terminal", terminal),
-                          ("probs", probs), ("next_idx", next_idx.astype(np.int64))):
+                          ("probs", probs), ("next_idx", next_idx.astype(np.int64)),
+                          ("horizon", int(self.horizon)), ("x0", int(self.x0))):
             object.__setattr__(self, name, arr)
 
     @property
@@ -215,16 +216,25 @@ class TinyInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "TinyInstance":
         try:
-            # JSON numbers only; __post_init__ converts and checks the tables.
+            # JSON numbers only; __post_init__ checks their values and converts.
             for key in ("states", "actions", "cost", "terminal", "probs", "next"):
-                _nested_numbers(d[key], key)
+                _json_numbers(d[key], key)
+            for key in ("horizon", "c_bar", "x0"):
+                _json_numbers(d[key], key, nested=False)
             return cls(states=d["states"], actions=d["actions"], cost=d["cost"],
                        terminal=d["terminal"], probs=d["probs"], next_idx=d["next"],
-                       horizon=_count(d["horizon"], "horizon", 1),
-                       c_bar=float(_number(d["c_bar"], "c_bar")),
-                       x0=_count(d["x0"], "x0", 0))
+                       horizon=d["horizon"], c_bar=float(d["c_bar"]), x0=d["x0"])
         except KeyError as exc:
             raise ValueError(f"instance record is missing field {exc}") from exc
+
+
+def _json_numbers(value, where, nested=True):
+    """Refuse ``value`` unless it is a finite JSON number (an int or a float,
+    not a bool) or, if ``nested``, lists of them; the error names the entry."""
+    if nested and isinstance(value, list):
+        return [_json_numbers(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if type(value) not in (int, float) or not abs(value) < math.inf:
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _y_distribution(inst: TinyInstance, get_action) -> Pmf:

@@ -355,9 +355,11 @@ class TestOracleCommand:
         {"c_bar": "2"}, {"states": ["0", 1.0]}, {"actions": [True]},
         {"states": [math.nan], "cost": [[0.5]], "terminal": [0.5],
          "next": [[[0, 0]]], "probs": [[[0.5, 0.5]]]},
+        {"horizon": [1]}, {"c_bar": [2.0]}, {"x0": [0]},
     ], ids=["horizon-fraction", "x0-fraction", "next-fraction", "horizon-bool",
             "horizon-string", "x0-string", "next-strings", "next-bool",
-            "c_bar-string", "states-string", "actions-bool", "single-nan-state"])
+            "c_bar-string", "states-string", "actions-bool", "single-nan-state",
+            "horizon-list", "c_bar-list", "x0-list"])
     def test_corpus_bad_number_refused_at_parse(self, tmp_path, capsys, fields):
         # A number is never truncated, nor read from a string or a bool.
         inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],
@@ -531,6 +533,9 @@ class TestConfigErrors:
         ({"model": {"disturbance": [[12.0, "1"]]}}, "model.disturbance[0][1]"),
         ({"model": {"disturbance": [[10.0, math.nan], [14.0, 1.0]]}},
          "model.disturbance[0][1]"),
+        ({"rs": [[1.0]]}, "rs[0]"),
+        ({"deploy": {**TINY_CONFIG["deploy"], "x0": [[2.5], 3.0]}}, "deploy.x0[0]"),
+        ({"model": {"disturbance": [[[10.0], 1.0]]}}, "model.disturbance[0][0]"),
     ])
     def test_non_numeric_config_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, "config.json", overrides)

@@ -64,6 +64,27 @@ def test_bad_next_state_rejected(index):
         dataclasses.replace(inst, next_idx=next_idx)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("horizon", 2.7, "horizon of 1, 2 or 3"),
+    ("horizon", np.nan, "horizon of 1, 2 or 3"),
+    ("horizon", 4, "horizon of 1, 2 or 3"),
+    ("x0", 0.9, "x0 must be an integral state index"),
+    ("x0", np.nan, "x0 must be an integral state index"),
+    ("x0", 2, "x0 must be an integral state index"),
+], ids=["horizon-fraction", "horizon-nan", "horizon-above",
+        "x0-fraction", "x0-nan", "x0-above"])
+def test_bad_horizon_or_start_rejected(field, value, error):
+    # A programmatic instance is checked too, not only a parsed record.
+    with pytest.raises(ValueError, match=error):
+        dataclasses.replace(two_state_instance(), **{field: value})
+
+
+def test_integral_floats_stored_as_ints():
+    inst = dataclasses.replace(two_state_instance(), horizon=np.float64(2.0), x0=1.0)
+    assert (inst.horizon, inst.x0) == (2, 1)
+    assert type(inst.horizon) is int and type(inst.x0) is int
+
+
 class TestExactPolicyCvar:
     def test_deterministic_point_mass(self):
         inst = two_state_instance()
