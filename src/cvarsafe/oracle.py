@@ -86,9 +86,9 @@ class TinyInstance:
         if next_idx.shape != probs.shape:
             raise ValueError("next_idx must match probs in shape")
         check_prob_rows(probs, "transition")
-        # Membership, not a range check: 1.0 is a state index, 0.6 and NaN
-        # are not (the int64 cast below would truncate them).
-        if not np.isin(next_idx, np.arange(n_s)).all():
+        # Integral before the int64 cast below, which would truncate 0.6 to 0.
+        if not ((next_idx >= 0) & (next_idx < n_s)
+                & (next_idx == np.round(next_idx))).all():
             raise ValueError("next_idx must hold integral state indices in range")
         if self.c_bar <= 0:
             raise ValueError("c_bar must be positive")
