@@ -12,11 +12,10 @@ from .dp import (PolicyTable, TransitionTables, ValueTable, backend,
 from .grids import AugmentedGrid
 from .models import (PumpParams, StormwaterParams, SystemModel,
                      default_disturbance, design_params, g_k,
-                     make_stormwater_model, q_cso, q_pump, q_pump_piecewise,
-                     q_storm, q_valve, smoke_disturbance, transition)
+                     make_stormwater_model, q_cso, q_pump, q_storm, q_valve,
+                     smoke_disturbance, transition)
 from .oracle import (OracleError, OracleSizeError, TinyInstance,
-                     exact_optimal_cvar, exact_optimal_cvar_history,
-                     exact_policy_cvar, exchange_identity_value,
+                     exact_optimal_cvar, exchange_identity_value,
                      generate_corpus, load_corpus, random_instance,
                      save_corpus)
 from .rollout import (PrecommitmentPolicy, RolloutBatch, estimate_risk,

@@ -142,13 +142,11 @@ def write_mask_csv(path, mask: SafeSetMask, grid: AugmentedGrid,
     write_csv(path, config_hash, _x_columns(grid) + ["in_set"], rows)
 
 
-def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str,
-                       max_rollouts: int = None) -> None:
-    """Trajectory records, one row per (rollout, t); the terminal row has no
-    action or disturbance. ``max_rollouts`` caps the file size for large
-    batches (summary statistics always cover the whole batch)."""
-    num = batch.num if max_rollouts is None else min(batch.num, int(max_rollouts))
-    dim = batch.states.shape[2]
+def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str) -> None:
+    """Trajectory records, one row per (recorded rollout, t); the terminal
+    row has no action or disturbance. ``rollout(..., keep=k)`` caps how many
+    trajectories the batch records, and so the file size."""
+    _, num, dim = batch.states.shape
 
     def rows():  # one rollout's values at a time
         for i in range(num):

@@ -180,12 +180,12 @@ def cmd_deploy(args) -> int:
         "seed": cfg["seed"],
     }
     if num > 0:
-        batch = rollout(policy, num, cfg["seed"], model)
+        batch = rollout(policy, num, cfg["seed"], model,
+                        keep=cfg["deploy"]["csv_max"])
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
         summary.update(stats)
         summary["consistency_gap"] = abs(stats["excess_hat"] - policy.dp_value)
-        artifacts.write_rollouts_csv(f"{args.out}/rollouts.csv", batch, chash,
-                                     max_rollouts=cfg["deploy"]["csv_max"])
+        artifacts.write_rollouts_csv(f"{args.out}/rollouts.csv", batch, chash)
     artifacts.write_json(f"{args.out}/deploy_summary.json", summary)
     print(f"deploy finished in {time.perf_counter() - t0:.2f}s -> {args.out}",
           file=sys.stderr)

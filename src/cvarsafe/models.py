@@ -35,7 +35,6 @@ __all__ = [
     "q_cso",
     "q_valve",
     "q_pump",
-    "q_pump_piecewise",
     "transition",
 ]
 
@@ -185,31 +184,6 @@ def q_pump(x, u, params: StormwaterParams):
     nu1 = np.clip(y1, 0.0, band)
     nu2 = np.clip(y2, 0.0, band)
     return (-p.q_max / band) * (np.minimum(0.0, u) * nu1 + np.maximum(0.0, u) * nu2)
-
-
-def q_pump_piecewise(x, u, params: StormwaterParams):
-    """Pump flow in the original four-case form; scalar x, u only.
-
-    Kept as an independent cross-check of ``q_pump``; the two agree to
-    machine precision on the whole domain.
-    """
-    p = params.pump
-    if p is None:
-        raise ValueError("q_pump requires pump parameters (design b)")
-    x1, x2 = float(x[0]), float(x[1])
-    u = float(u)
-    lo, hi = p.z_elev - p.eps, p.z_elev + p.eps
-
-    def startup(level):
-        return (p.q_max * u / (2.0 * p.eps)) * (level + p.eps - p.z_elev)
-
-    if (x1 < lo and u < 0.0) or (x2 < lo and u >= 0.0):
-        return 0.0
-    if lo <= x1 <= hi and u < 0.0:
-        return -startup(x1)
-    if lo <= x2 <= hi and u >= 0.0:
-        return -startup(x2)
-    return -u * p.q_max
 
 
 def transition(x, u, w, params: StormwaterParams):

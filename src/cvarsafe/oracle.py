@@ -4,15 +4,11 @@ A ``TinyInstance`` is a fully tabular control problem (explicit states,
 actions, disturbance atoms, horizon <= 3) whose transitions land exactly on
 listed states. Everything about it can be enumerated:
 
-  * the distribution of the maximum cost under a fixed policy
-    (``exact_policy_cvar``),
+  * the distribution of the maximum cost under a fixed policy,
   * the best deterministic augmented-state policy by enumerating every
     action assignment on the reachable (t, x, z) nodes
     (``exact_optimal_cvar``), cross-checked against the dual-parameter
-    exchange route min_s [ s + min_pi E[(Y - s)+] / alpha ],
-  * history-dependent policies on two-step instances
-    (``exact_optimal_cvar_history``), which never beat augmented-state
-    feedback.
+    exchange route min_s [ s + min_pi E[(Y - s)+] / alpha ].
 """
 
 from __future__ import annotations
@@ -34,9 +30,7 @@ __all__ = [
     "OracleError",
     "OracleSizeError",
     "OracleResult",
-    "exact_policy_cvar",
     "exact_optimal_cvar",
-    "exact_optimal_cvar_history",
     "exchange_identity_value",
     "random_instance",
     "generate_corpus",
@@ -259,18 +253,6 @@ def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
     return Pmf(list(out.keys()), list(out.values()))
 
 
-def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
-    """CVaR of the maximum cost under a fixed augmented-state policy.
-
-    ``policy`` maps (t, state index, z value) to an action index; missing
-    entries raise ``OracleError``.
-    """
-    def get_action(t, xi, z):
-        return policy.get((t, xi, z)) if hasattr(policy, "get") else policy(t, xi, z)
-
-    return cvar_dual(_y_distribution(inst, get_action), alpha)[0]
-
-
 def _excess_dp(inst: TinyInstance, s: float) -> float:
     """min over policies of E[max(Y - s, 0)], solved exactly on the
     reachable (x, z) nodes by backward induction."""
@@ -347,44 +329,6 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
             f"({exchange!r}) disagree beyond {IDENTITY_TOL}")
     policy = dict(zip(slots, best_assignment))
     return OracleResult(float(best_value), policy, float(exchange))
-
-
-def exact_optimal_cvar_history(inst: TinyInstance, alpha) -> float:
-    """Minimum CVaR over fully history-dependent policies (horizon <= 2).
-
-    At t = 1 the action may depend on the whole branch (x0, u0, w0), which
-    strictly contains the (x1, z1) information; used as a finite spot check
-    that augmented-state feedback is not beaten by richer policies.
-    """
-    if inst.horizon > 2:
-        raise ValueError("history enumeration supported for horizon <= 2")
-    if inst.horizon == 1:
-        best = np.inf
-        for a0 in range(inst.n_actions):
-            best = min(best, exact_policy_cvar(inst, {(0, inst.x0, 0.0): a0}, alpha))
-        return float(best)
-
-    best = np.inf
-    for a0 in range(inst.n_actions):
-        z1 = max(0.0, float(inst.cost[inst.x0, a0]))
-        branches = [wi for wi in range(inst.n_atoms)
-                    if inst.probs[inst.x0, a0, wi] > 0.0]
-        for choice in itertools.product(range(inst.n_actions), repeat=len(branches)):
-            atoms: Dict[float, float] = {}
-            for wi, a1 in zip(branches, choice):
-                p0 = float(inst.probs[inst.x0, a0, wi])
-                x1 = int(inst.next_idx[inst.x0, a0, wi])
-                z2 = max(z1, float(inst.cost[x1, a1]))
-                for w1 in range(inst.n_atoms):
-                    p1 = float(inst.probs[x1, a1, w1])
-                    if p1 == 0.0:
-                        continue
-                    x2 = int(inst.next_idx[x1, a1, w1])
-                    y = max(z2, float(inst.terminal[x2]))
-                    atoms[y] = atoms.get(y, 0.0) + p0 * p1
-            value = cvar_dual(Pmf(list(atoms.keys()), list(atoms.values())), alpha)[0]
-            best = min(best, value)
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,20 @@ the initial state, value iteration is re-solved at exactly that parameter,
 and the resulting argmin tables drive the rollouts.
 
 Records are time-major: ``RolloutBatch.states`` has shape
-(horizon + 1, num, state_dim), ``zs`` (horizon + 1, num), ``actions`` and
-``shocks`` (horizon, num) and ``y_prime`` (num,), so rollout i is
-``states[:, i]``. Rollouts advance in blocks of ``_BLOCK`` trajectories,
-each step writing straight into the contiguous ``[t, lo:hi]`` slices of the
-batch arrays, so every step's lookups, sampling and dynamics read and write
-cache-resident rows. A block draws its (m, horizon) uniforms from the one
-generator seeded with ``seed``, in order, so the blocks' draws laid end to
-end are the rows of a single (num, horizon) draw matrix: row l is a
-deterministic function of (seed, l, horizon) whatever the block size. Every
-element goes through the same floating-point operations whatever the block,
-so results do not depend on block size, batch size or thread counts, and
+(horizon + 1, kept, state_dim), ``zs`` (horizon + 1, kept), ``actions`` and
+``shocks`` (horizon, kept) and ``y_prime`` (num,), so recorded rollout i is
+``states[:, i]``. ``rollout(..., keep=k)`` records only the first
+``kept = min(num, k)`` trajectories, but every rollout's ``y_prime``.
+Rollouts advance in blocks of ``_BLOCK`` trajectories through one reused,
+block-sized, time-major scratch set, so every step's lookups, sampling and
+dynamics read and write contiguous cache-resident rows, and a block below
+``kept`` copies its leading columns into the records. A block draws its
+(m, horizon) uniforms from the one generator seeded with ``seed``, in
+order, so the blocks' draws laid end to end are the rows of a single
+(num, horizon) draw matrix: row l is a deterministic function of
+(seed, l, horizon) whatever the block size. Every element goes through the
+same floating-point operations whatever the block or ``keep``, so results
+do not depend on block size, batch size, ``keep`` or thread counts, and
 reruns are bit-identical.
 """
 
@@ -62,17 +65,19 @@ class PrecommitmentPolicy:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Recorded trajectories; identical (seed, config) gives identical records."""
+    """Realized maximum costs of every rollout and the trajectories of the
+    first ``kept`` of them; identical (seed, config) gives identical records."""
 
-    states: np.ndarray   # (N + 1, num, state_dim)
-    zs: np.ndarray       # (N + 1, num)
-    actions: np.ndarray  # (N, num)
-    shocks: np.ndarray   # (N, num)
+    states: np.ndarray   # (N + 1, kept, state_dim)
+    zs: np.ndarray       # (N + 1, kept)
+    actions: np.ndarray  # (N, kept)
+    shocks: np.ndarray   # (N, kept)
     y_prime: np.ndarray  # (num,) realized maximum costs (g_lower restored)
 
     @property
     def num(self) -> int:
-        return self.states.shape[1]
+        """Rollouts simulated, recorded or not."""
+        return self.y_prime.size
 
 
 def synthesize_policy(x0, alpha, dsweep: DualSweep, model: SystemModel,
@@ -103,38 +108,50 @@ def _sample_disturbances(model: SystemModel, x, u, draws):
 
 
 def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
-            model: SystemModel) -> RolloutBatch:
+            model: SystemModel, keep: int = None) -> RolloutBatch:
     """Deploy the policy for ``num`` seeded trajectories.
 
     Each control is the policy table's argmin at the (x, z) grid node
-    nearest the current augmented state.
+    nearest the current augmented state. Only the first ``keep``
+    trajectories are recorded (all when ``keep`` is None); ``y_prime``
+    covers all ``num``.
     """
     n = int(num)
+    kept = n if keep is None else min(n, int(keep))
     horizon = model.horizon
     grid = policy.grid
-    states = np.empty((horizon + 1, n, model.state_dim))
-    zs = np.empty((horizon + 1, n))
-    acts = np.empty((horizon, n))
-    shocks = np.empty((horizon, n))
+    dim = model.state_dim
+    states = np.empty((horizon + 1, kept, dim))
+    zs = np.empty((horizon + 1, kept))
+    acts = np.empty((horizon, kept))
+    shocks = np.empty((horizon, kept))
     y_prime = np.empty(n)
-    states[0] = policy.x0
-    zs[0] = 0.0
+    block = min(_BLOCK, n)  # one scratch set, reused by every block
+    bx = np.empty((horizon + 1, block, dim))
+    bz = np.empty((horizon + 1, block))
+    bu = np.empty((horizon, block))
+    bw = np.empty((horizon, block))
+    bx[0] = policy.x0
+    bz[0] = 0.0
     rng = np.random.default_rng(int(seed))
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        draws = rng.random((hi - lo, horizon))
+        m = min(_BLOCK, n - lo)
+        draws = rng.random((m, horizon))
         for t in range(horizon):
-            x, z = states[t, lo:hi], zs[t, lo:hi]
-            u, w = acts[t, lo:hi], shocks[t, lo:hi]
+            x, z = bx[t, :m], bz[t, :m]
+            u, w = bu[t, :m], bw[t, :m]
             ix = grid.nearest_x_index(x)
             jz = grid.nearest_z_index(z)
             u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
             w[:] = _sample_disturbances(model, x, u, draws[:, t])
-            states[t + 1, lo:hi] = model.dynamics(x, u, w)
-            zs[t + 1, lo:hi] = np.maximum(z, model.stage_cost(x, u))
-        y = np.maximum(zs[horizon, lo:hi],
-                       model.terminal_cost(states[horizon, lo:hi]))
-        y_prime[lo:hi] = y + model.g_lower
+            bx[t + 1, :m] = model.dynamics(x, u, w)
+            bz[t + 1, :m] = np.maximum(z, model.stage_cost(x, u))
+        y = np.maximum(bz[horizon, :m], model.terminal_cost(bx[horizon, :m]))
+        y_prime[lo:lo + m] = y + model.g_lower
+        c = min(m, kept - lo)  # leading columns still to record
+        if c > 0:
+            for record, scratch in zip((states, zs, acts, shocks), (bx, bz, bu, bw)):
+                record[:, lo:lo + c] = scratch[:, :c]
     return RolloutBatch(states, zs, acts, shocks, y_prime)
 
 

@@ -1,0 +1,90 @@
+"""Exact references used only by the tests.
+
+``exact_policy_cvar`` and ``exact_optimal_cvar_history`` enumerate a
+``TinyInstance`` under a fixed policy and under history-dependent policies;
+``q_pump_piecewise`` is the pump flow in its original four-case form, an
+independent cross-check of ``models.q_pump``.
+"""
+
+import itertools
+from typing import Dict
+
+import numpy as np
+
+from cvarsafe import Pmf, StormwaterParams, TinyInstance, cvar_dual
+from cvarsafe.oracle import _y_distribution
+
+
+def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
+    """CVaR of the maximum cost under a fixed augmented-state policy.
+
+    ``policy`` maps (t, state index, z value) to an action index; missing
+    entries raise ``OracleError``.
+    """
+    def get_action(t, xi, z):
+        return policy.get((t, xi, z)) if hasattr(policy, "get") else policy(t, xi, z)
+
+    return cvar_dual(_y_distribution(inst, get_action), alpha)[0]
+
+
+def exact_optimal_cvar_history(inst: TinyInstance, alpha) -> float:
+    """Minimum CVaR over fully history-dependent policies (horizon <= 2).
+
+    At t = 1 the action may depend on the whole branch (x0, u0, w0), which
+    strictly contains the (x1, z1) information; used as a finite spot check
+    that augmented-state feedback is not beaten by richer policies.
+    """
+    if inst.horizon > 2:
+        raise ValueError("history enumeration supported for horizon <= 2")
+    if inst.horizon == 1:
+        best = np.inf
+        for a0 in range(inst.n_actions):
+            best = min(best, exact_policy_cvar(inst, {(0, inst.x0, 0.0): a0}, alpha))
+        return float(best)
+
+    best = np.inf
+    for a0 in range(inst.n_actions):
+        z1 = max(0.0, float(inst.cost[inst.x0, a0]))
+        branches = [wi for wi in range(inst.n_atoms)
+                    if inst.probs[inst.x0, a0, wi] > 0.0]
+        for choice in itertools.product(range(inst.n_actions), repeat=len(branches)):
+            atoms: Dict[float, float] = {}
+            for wi, a1 in zip(branches, choice):
+                p0 = float(inst.probs[inst.x0, a0, wi])
+                x1 = int(inst.next_idx[inst.x0, a0, wi])
+                z2 = max(z1, float(inst.cost[x1, a1]))
+                for w1 in range(inst.n_atoms):
+                    p1 = float(inst.probs[x1, a1, w1])
+                    if p1 == 0.0:
+                        continue
+                    x2 = int(inst.next_idx[x1, a1, w1])
+                    y = max(z2, float(inst.terminal[x2]))
+                    atoms[y] = atoms.get(y, 0.0) + p0 * p1
+            value = cvar_dual(Pmf(list(atoms.keys()), list(atoms.values())), alpha)[0]
+            best = min(best, value)
+    return float(best)
+
+
+def q_pump_piecewise(x, u, params: StormwaterParams):
+    """Pump flow in the original four-case form; scalar x, u only.
+
+    Kept as an independent cross-check of ``q_pump``; the two agree to
+    machine precision on the whole domain.
+    """
+    p = params.pump
+    if p is None:
+        raise ValueError("q_pump requires pump parameters (design b)")
+    x1, x2 = float(x[0]), float(x[1])
+    u = float(u)
+    lo, hi = p.z_elev - p.eps, p.z_elev + p.eps
+
+    def startup(level):
+        return (p.q_max * u / (2.0 * p.eps)) * (level + p.eps - p.z_elev)
+
+    if (x1 < lo and u < 0.0) or (x2 < lo and u >= 0.0):
+        return 0.0
+    if lo <= x1 <= hi and u < 0.0:
+        return -startup(x1)
+    if lo <= x2 <= hi and u >= 0.0:
+        return -startup(x2)
+    return -u * p.q_max

@@ -20,11 +20,11 @@ import pytest
 from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, cvar_tail,
                       default_disturbance, design_params, estimate_risk,
                       exact_optimal_cvar, extract_safe_set, load_corpus,
-                      make_stormwater_model, q_pump, q_pump_piecewise,
-                      risk_value, rollout, smoke_disturbance, sweep,
-                      synthesize_policy, transition)
+                      make_stormwater_model, q_pump, risk_value, rollout,
+                      smoke_disturbance, sweep, synthesize_policy, transition)
 from cvarsafe import cli
 from pointwise import expectation_dp
+from references import q_pump_piecewise
 from test_cli import read_tree
 
 COARSE = {"x": (25, 25), "z": 11, "action": 11, "s": 21}
@@ -205,7 +205,8 @@ def test_c7_monte_carlo_consistency(corpus, smoke_baseline):
         dsweep = sweep(model, grid)
         x0 = np.array([inst.states[inst.x0]])
         policy = synthesize_policy(x0, alpha, dsweep, model, grid)
-        batch = rollout(policy, 1_000_000, seed=1000 + i, model=model)
+        batch = rollout(policy, 1_000_000, seed=1000 + i, model=model,
+                        keep=0)
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
         gap = abs(stats["excess_hat"] - policy.dp_value)
         bound = 3.0 * stats["excess_stderr"] + MC_ATOL
@@ -219,7 +220,7 @@ def test_c7_monte_carlo_consistency(corpus, smoke_baseline):
     reported = {}
     for alpha in (0.99, 0.05):
         policy = synthesize_policy(x0, alpha, dsweep, model, grid)
-        batch = rollout(policy, 1_000_000, seed=999, model=model)
+        batch = rollout(policy, 1_000_000, seed=999, model=model, keep=0)
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
         gap = abs(stats["excess_hat"] - policy.dp_value)
         reported[alpha] = round(gap, 6)

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarsafe import cli, dp, solver
-from cvarsafe.artifacts import SCHEMA_VERSION, read_sweep, write_tables_csv
-from cvarsafe.config import build_grid, build_model, load_config, resolve_config
+from cvarsafe import (RolloutBatch, cli, dp, rollout, solver,
+                      synthesize_policy)
+from cvarsafe.artifacts import (SCHEMA_VERSION, read_sweep, write_rollouts_csv,
+                                write_tables_csv)
+from cvarsafe.config import (build_grid, build_model, config_hash, load_config,
+                             resolve_config)
 
 TINY_CONFIG = {
     "model": {"disturbance": "smoke"},
@@ -247,6 +250,28 @@ class TestDeployCommand:
         rollouts = (out / "rollouts.csv").read_text().splitlines()
         assert rollouts[1] == "rollout_id,t,x1,x2,z,u,w"
         assert len(rollouts) == 2 + 100 * 21
+
+    def test_csv_max_records_leading_rollouts(self, tmp_path):
+        path = write_config(tmp_path, "config.json", {"deploy": {
+            **TINY_CONFIG["deploy"], "rollouts": 100, "csv_max": 30}})
+        out = tmp_path / "run"
+        assert cli.main(["deploy", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "deploy_summary.json").read_text())
+        assert summary["num_rollouts"] == summary["num"] == 100
+        written = (out / "rollouts.csv").read_bytes()
+        assert len(written.splitlines()) == 2 + 30 * 21
+        # The same file written from the whole batch cut to 30 rollouts.
+        cfg = load_config(path)
+        model = build_model(cfg)
+        grid = build_grid(cfg, model)
+        policy = synthesize_policy(cfg["deploy"]["x0"], cfg["deploy"]["alpha"],
+                                   solver.sweep(model, grid), model, grid)
+        full = rollout(policy, 100, cfg["seed"], model)
+        cut = RolloutBatch(full.states[:, :30], full.zs[:, :30],
+                           full.actions[:, :30], full.shocks[:, :30],
+                           full.y_prime)
+        write_rollouts_csv(str(tmp_path / "ref.csv"), cut, config_hash(cfg))
+        assert written == (tmp_path / "ref.csv").read_bytes()
 
     def test_zero_rollouts_reports_dp_only(self, tiny_config, tmp_path):
         out = tmp_path / "run"

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvarsafe import (default_disturbance, design_params, g_k,
-                      make_stormwater_model, q_cso, q_pump, q_pump_piecewise,
-                      q_storm, q_valve, smoke_disturbance, transition)
+                      make_stormwater_model, q_cso, q_pump, q_storm, q_valve,
+                      smoke_disturbance, transition)
 from cvarsafe.models import PumpParams, StormwaterParams, max_cso_rate, max_storm_rate
+from references import q_pump_piecewise
 
 BASE = design_params("a")
 PUMP = design_params("b")

@@ -7,12 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
-                      TinyInstance, exact_optimal_cvar,
-                      exact_optimal_cvar_history, exact_policy_cvar,
-                      exchange_identity_value, generate_corpus, load_corpus,
-                      make_stormwater_model, random_instance, save_corpus)
+                      TinyInstance, exact_optimal_cvar, exchange_identity_value,
+                      generate_corpus, load_corpus, make_stormwater_model,
+                      random_instance, save_corpus)
 from cvarsafe.oracle import _excess_dp
 from pointwise import expectation_dp
+from references import exact_optimal_cvar_history, exact_policy_cvar
 
 
 def two_state_instance():

@@ -140,6 +140,44 @@ class TestBlockInvariance:
         assert_same_batch(rollout(policy, 50, seed=8, model=model), want)
 
 
+class TestKeep:
+    """``keep=k`` records the leading k trajectories of the full batch and
+    every rollout's y_prime."""
+
+    def assert_leading(self, got, full, k):
+        for name in BATCH_FIELDS[:-1]:
+            assert np.array_equal(getattr(got, name),
+                                  getattr(full, name)[:, :k]), name
+        assert np.array_equal(got.y_prime, full.y_prime)
+        assert got.num == full.num
+
+    @pytest.mark.parametrize("keep", [0, 10, 300, 301, 5000])
+    def test_keep_records_leading_columns(self, keep):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 3.5]), 0.5, ds, model, grid)
+        full = rollout(policy, 300, seed=4, model=model)
+        got = rollout(policy, 300, seed=4, model=model, keep=keep)
+        assert got.states.shape[1] == min(300, keep)
+        self.assert_leading(got, full, keep)
+
+    def test_block_crossing_keep(self, monkeypatch):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 3.5]), 0.5, ds, model, grid)
+        full = rollout(policy, 50, seed=2, model=model)
+        monkeypatch.setattr(rollout_mod, "_BLOCK", 7)  # block [7, 14) crosses 10
+        self.assert_leading(rollout(policy, 50, seed=2, model=model, keep=10),
+                            full, 10)
+
+    def test_estimate_risk_ignores_keep(self):
+        model, grid, ds = small_setup()
+        policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
+        full = rollout(policy, 200, seed=7, model=model)
+        bare = rollout(policy, 200, seed=7, model=model, keep=0)
+        assert bare.states.shape[1] == 0
+        assert (estimate_risk(bare, 0.5, model.g_lower, policy.s_star)
+                == estimate_risk(full, 0.5, model.g_lower, policy.s_star))
+
+
 class TestEstimateRisk:
     def test_constant_outcomes(self):
         model, grid, ds = small_setup(disturbance=Pmf([12.2], [1.0]))
@@ -177,7 +215,7 @@ class TestMonteCarloConsistency:
         alpha = 0.5
         x0 = np.array([inst.states[inst.x0]])
         policy = synthesize_policy(x0, alpha, ds, model, grid)
-        batch = rollout(policy, 200_000, seed=11, model=model)
+        batch = rollout(policy, 200_000, seed=11, model=model, keep=0)
         stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
         assert policy.dp_value > 0 and stats["excess_stderr"] > 0
         gap = abs(stats["excess_hat"] - policy.dp_value)
