@@ -4,6 +4,14 @@ The computational substrate for value iteration: per-dimension state axes,
 a running-maximum axis on [0, c_bar], an action axis, and a dual-parameter
 axis. Tables are stored flat as ``(n_xnodes, n_z)`` with the state index
 row-major over the state axes.
+
+Nearest-node lookups are exact by decision points. Between neighbouring
+nodes ``a < b`` the rule picks ``b`` iff ``fl(b - v) < fl(v - a)``, so ties
+go to ``a``. The predicate is monotone in ``v``, so its decision point ``t``
+is the smallest double in ``(a, b]`` where it holds, and node ``j`` is
+nearest iff ``t_{j-1} <= v < t_j`` (``t_{-1} = -inf``, ``t_{n-1} = +inf``).
+Each axis finds its points once; a lookup guesses ``j`` affinely and steps
+it until that holds, exact on any axis whose span is a finite double.
 """
 
 from __future__ import annotations
@@ -47,6 +55,21 @@ def locate_batch(axis: np.ndarray, v: np.ndarray):
     return idx, frac
 
 
+def decision_points(axis: np.ndarray) -> np.ndarray:
+    """``cuts = [-inf, t_0, ..., t_{n-2}, +inf]`` (module docstring), each
+    ``t`` bisected over the doubles of ``(a, b]`` in the order of their bit
+    patterns (those of negative doubles with the magnitude bits flipped)."""
+    a, b = axis[:-1], axis[1:]
+    flip = lambda k: k ^ ((k >> 63) & np.int64(2**63 - 1))  # bits <-> order
+    lo, hi = flip(a.view(np.int64)), flip(b.view(np.int64))  # picks a, b
+    while (hi - 1 > lo).any():
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        v = flip(mid).view(np.float64)
+        picks_b = (b - v) < (v - a)
+        lo, hi = np.where(picks_b, lo, mid), np.where(picks_b, mid, hi)
+    return np.concatenate(([-np.inf], flip(hi).view(np.float64), [np.inf]))
+
+
 @dataclass(frozen=True)
 class AugmentedGrid:
     """Node axes for the augmented state (x, z), the actions, and s.
@@ -80,6 +103,8 @@ class AugmentedGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
         object.__setattr__(self, "_x_nodes", nodes)
+        object.__setattr__(self, "_x_cuts", tuple(map(decision_points, axes)))
+        object.__setattr__(self, "_z_cuts", decision_points(self.z_axis))
 
     @classmethod
     def uniform(cls, model, x_counts, z_count: int, action_count: int, s_count: int):
@@ -121,25 +146,35 @@ class AugmentedGrid:
         return self._x_nodes
 
     def nearest_x_index(self, x):
-        """Flat index of the state node nearest to x (ties go to the lower node)."""
+        """Flat index of the state node nearest to x by the decision points
+        of each axis (ties go to the lower node); NaN raises ValueError."""
         x = np.asarray(x, dtype=np.float64)
         batch = x.ndim > 1
         pts = np.atleast_2d(x)
         flat = np.zeros(pts.shape[0], dtype=np.int64)
-        for d, ax in enumerate(self.x_axes):
-            flat += self._nearest_on_axis(ax, pts[:, d]) * self._x_strides[d]
+        for d, (ax, cuts) in enumerate(zip(self.x_axes, self._x_cuts)):
+            idx = self._nearest_on_axis(ax, cuts, pts[:, d], f"grid x axis {d}")
+            flat += idx * self._x_strides[d]
         return flat if batch else int(flat[0])
 
     def nearest_z_index(self, z):
         z = np.asarray(z, dtype=np.float64)
-        idx = self._nearest_on_axis(self.z_axis, np.atleast_1d(z))
+        idx = self._nearest_on_axis(self.z_axis, self._z_cuts,
+                                    np.atleast_1d(z), "grid z axis")
         return idx if z.ndim else int(idx[0])
 
     @staticmethod
-    def _nearest_on_axis(axis: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if axis.size == 1:
-            return np.zeros(v.shape, dtype=np.int64)
-        hi = np.clip(np.searchsorted(axis, v, side="left"), 0, axis.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        pick_hi = (axis[hi] - v) < (v - axis[lo])
-        return np.where(pick_hi, hi, lo).astype(np.int64)
+    def _nearest_on_axis(axis, cuts, v, name):
+        v = np.clip(v, axis[0], axis[-1])
+        if np.isnan(v).any():
+            raise ValueError(f"nearest-node lookup on the {name} got NaN")
+        # The 1e-300 floor keeps the slope finite (1-node, subnormal spans).
+        slope = (axis.size - 1) / max(axis[-1] - axis[0], 1e-300)
+        j = np.rint((v - axis[0]) * slope).astype(np.int64)
+        upper = cuts[1:]  # upper.take(j) is cuts[j + 1]
+        while True:  # usually one pass on a uniform axis, <= n on any axis
+            up, down = v >= upper.take(j), v < cuts.take(j)
+            if not (up.any() or down.any()):
+                return j
+            j += up
+            j -= down

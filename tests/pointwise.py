@@ -5,6 +5,10 @@ transition tables and brackets values with ``grids.locate_batch``. The
 functions here do the same arithmetic one point at a time and share no
 code with those two, so tests can compare the vectorized path against them.
 
+``nearest_on_axis`` is the direct nearest-node rule (a ``searchsorted``
+bracket, then the nearer end) that the grid's decision-point lookups must
+reproduce index for index.
+
 ``expectation_dp`` is the independent expectation-minimizing grid DP
 (scipy interpolation) used to cross-check the risk pipeline at alpha = 1.
 """
@@ -33,6 +37,17 @@ def locate(axis: np.ndarray, v: float):
     idx = min(idx, n - 2)
     frac = (v - axis[idx]) / (axis[idx + 1] - axis[idx])
     return idx, float(frac)
+
+
+def nearest_on_axis(axis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Index of the node of a sorted axis nearest to each value; ties go to
+    the lower node and values outside the axis go to its ends."""
+    if axis.size == 1:
+        return np.zeros(v.shape, dtype=np.int64)
+    hi = np.clip(np.searchsorted(axis, v, side="left"), 0, axis.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    pick_hi = (axis[hi] - v) < (v - axis[lo])
+    return np.where(pick_hi, hi, lo).astype(np.int64)
 
 
 def interp_xz(grid: AugmentedGrid, table: np.ndarray, x, z: float) -> float:

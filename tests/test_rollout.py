@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, estimate_risk,
                       generate_corpus, g_k, make_stormwater_model, risk_value,
-                      rollout, smoke_disturbance, sweep, synthesize_policy)
+                      rollout, smoke_disturbance, sweep, synthesize_policy,
+                      value_iteration)
 from cvarsafe.models import design_params
+from cvarsafe.rollout import PrecommitmentPolicy
 from test_dp import wet_or_smoke_rows
 
 # The module, not the function of the same name that the package exports.
@@ -220,3 +222,23 @@ class TestMonteCarloConsistency:
         assert policy.dp_value > 0 and stats["excess_stderr"] > 0
         gap = abs(stats["excess_hat"] - policy.dp_value)
         assert gap <= 3.0 * stats["excess_stderr"] + 1e-9
+
+    def test_deploy_gap_shrinks_under_grid_refinement(self):
+        # Smoke law, design a, x0 = (0, 3.25), s = 1: the interpolated DP
+        # value sits above the rollouts' mean excess (about 0.126) and
+        # approaches it as the state grid refines, 13^2 -> 25^2 -> 49^2 with
+        # z 11 and 11 actions (gaps of about 390, 293 and 92 stderr). Both
+        # assertions are measured properties of this case, not theorems.
+        model = make_stormwater_model(design_params("a"), smoke_disturbance())
+        x0, s = np.array([0.0, 3.25]), 1.0
+        gaps = []
+        for n in (13, 25, 49):
+            grid = AugmentedGrid.uniform(model, (n, n), 11, 11, 2)
+            vtable, ptable = value_iteration(s, model, grid)
+            policy = PrecommitmentPolicy(0.5, x0, s, vtable, ptable, grid)
+            batch = rollout(policy, 200_000, seed=0, model=model, keep=0)
+            stats = estimate_risk(batch, 0.5, model.g_lower, s)
+            excess, stderr = stats["excess_hat"], stats["excess_stderr"]
+            assert policy.dp_value >= excess - 3.0 * stderr
+            gaps.append((policy.dp_value - excess) / stderr)
+        assert gaps[0] > gaps[1] > gaps[2], gaps
