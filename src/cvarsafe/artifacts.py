@@ -24,7 +24,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_sweep",
-    "read_sweep_meta",
     "read_sweep",
     "write_surface_csv",
     "write_mask_csv",
@@ -71,6 +70,13 @@ def _x_columns(grid: AugmentedGrid):
     return [f"x{d + 1}" for d in range(grid.state_dim)]
 
 
+def _grid_axes(grid: AugmentedGrid) -> dict:
+    return {"x_axes": [ax.tolist() for ax in grid.x_axes],
+            "z_axis": grid.z_axis.tolist(),
+            "action_axis": grid.action_axis.tolist(),
+            "s_axis": grid.s_axis.tolist()}
+
+
 def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
                 config_hash: str, sweep_hash: str) -> None:
     """Persist a dual sweep: sweep.csv (one row per s, one column per state
@@ -79,53 +85,55 @@ def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
     columns = ["s"] + [f"v{j}" for j in range(dsweep.v0.shape[1])]
     rows = ((s, *v) for s, v in zip(dsweep.s_values.tolist(), dsweep.v0.tolist()))
     write_csv(f"{out_dir}/sweep.csv", config_hash, columns, rows)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash,
-        "x_axes": [ax.tolist() for ax in grid.x_axes],
-        "z_axis": grid.z_axis.tolist(),
-        "action_axis": grid.action_axis.tolist(),
-        "s_axis": grid.s_axis.tolist(),
-        "sweep_hash": sweep_hash,
-    }
+    meta = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash,
+            **_grid_axes(grid), "sweep_hash": sweep_hash}
     write_json(f"{out_dir}/sweep_meta.json", meta)
 
 
-def read_sweep_meta(out_dir) -> dict:
-    """The contents of sweep_meta.json; ValueError unless its schema version
-    is ``SCHEMA_VERSION``."""
-    with open(f"{out_dir}/sweep_meta.json") as fh:
-        meta = json.load(fh)
-    version = meta.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{out_dir}/sweep_meta.json has schema version "
-                         f"{version!r}, expected {SCHEMA_VERSION}")
-    return meta
-
-
-def read_sweep(out_dir):
-    """Reconstruct (DualSweep, AugmentedGrid, config_hash) from a sweep dir.
-
-    Raises ValueError on another schema version, or unless sweep.csv holds
-    one row per s value of the stored s axis, each with one value per stored
-    state node."""
-    meta = read_sweep_meta(out_dir)
-    grid = AugmentedGrid(tuple(meta["x_axes"]), meta["z_axis"],
-                         meta["action_axis"], meta["s_axis"])
-    rows = []
-    with open(f"{out_dir}/sweep.csv") as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("s,"):
-                continue
-            rows.append([float(tok) for tok in line.rstrip("\n").split(",")])
-    n_s, n_x = grid.s_axis.size, grid.n_xnodes
-    if len(rows) != n_s or any(len(row) != 1 + n_x for row in rows):
-        raise ValueError(
-            f"{out_dir}/sweep.csv does not match sweep_meta.json: expected "
-            f"{n_s} rows of s and {n_x} values")
+def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> DualSweep:
+    """The dual sweep ``write_sweep`` stored in ``out_dir``, if made on ``grid``
+    for the config whose ``config.sweep_hash`` is ``sweep_hash``: the one check
+    that a stored sweep may be used. FileNotFoundError if a file is missing;
+    else ValueError naming the file if one does not parse, if a field of
+    sweep_meta.json (schema version, axes, sweep hash) does not read as JSON
+    exactly as ``write_sweep`` writes it here (``true`` is not ``1``, nor ``1``
+    the node ``1.0``), or unless sweep.csv holds one row per s of the axis, in
+    order, each that s and one value per state node."""
+    meta_path, csv_path = f"{out_dir}/sweep_meta.json", f"{out_dir}/sweep.csv"
+    path = meta_path
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        path = csv_path
+        with open(path) as fh:
+            rows = [[float(tok) for tok in line.split(",")]
+                    for line in fh if not line.startswith(("#", "s,"))]
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"no sweep found in {out_dir} (run `cvarsafe "
+                                f"sweep` first): {exc}") from exc
+    except ValueError as exc:  # not JSON, not text, or a cell not a number
+        raise ValueError(f"{path} does not parse: {exc}") from exc
+    meta = meta if isinstance(meta, dict) else {}
+    differs = lambda key, value: json.dumps(meta.get(key)) != json.dumps(value)
+    if differs("schema_version", SCHEMA_VERSION):
+        raise ValueError(f"{meta_path} has schema version "
+                         f"{meta.get('schema_version')!r}, expected {SCHEMA_VERSION}")
+    axes = _grid_axes(grid)
+    other = [key for key, value in axes.items() if differs(key, value)]
+    if other:
+        raise ValueError(f"{meta_path}: the sweep was made on another grid "
+                         f"({', '.join(other)} missing or not as configured)")
+    if differs("sweep_hash", sweep_hash):
+        raise ValueError(f"{meta_path}: the sweep was made for another model or "
+                         f"grid config (sweep hash {meta.get('sweep_hash')!r}, "
+                         f"configured {sweep_hash!r}); re-run `cvarsafe sweep`")
+    n_x = grid.n_xnodes
+    if (any(len(row) != 1 + n_x for row in rows)
+            or [row[0] for row in rows] != axes["s_axis"]):
+        raise ValueError(f"{csv_path} does not match {meta_path}: expected one "
+                         f"row per s, in order, each that s and {n_x} values")
     data = np.asarray(rows)
-    dsweep = DualSweep(data[:, 0], data[:, 1:])
-    return dsweep, grid, meta["config_hash"]
+    return DualSweep(data[:, 0], data[:, 1:])
 
 
 def write_surface_csv(path, surface: RiskSurface, grid: AugmentedGrid,

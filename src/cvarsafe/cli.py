@@ -71,51 +71,29 @@ def _prepare(cfg):
     return model, grid, config_mod.config_hash(cfg)
 
 
-def _read_matching_sweep(sweep_dir, cfg, grid):
-    """Read a sweep and check that it was made for ``cfg`` on ``grid``: its
-    stored x, z, action and s axes must equal the configured ones, and its
-    stored sweep hash that of the configured model and grid."""
-    try:
-        dsweep, sweep_grid, _ = artifacts.read_sweep(sweep_dir)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(f"no sweep found in {sweep_dir} (run `cvarsafe "
-                                f"sweep` first): {exc}") from exc
-    stored = (*sweep_grid.x_axes, sweep_grid.z_axis, sweep_grid.action_axis,
-              sweep_grid.s_axis)
-    wanted = (*grid.x_axes, grid.z_axis, grid.action_axis, grid.s_axis)
-    if len(stored) != len(wanted) or not all(
-            np.array_equal(a, b) for a, b in zip(stored, wanted)):
-        raise ValueError(f"the sweep in {sweep_dir} was made on another grid "
-                         "than the configured one")
-    stored_hash = artifacts.read_sweep_meta(sweep_dir).get("sweep_hash")
-    wanted_hash = config_mod.sweep_hash(cfg)
-    if stored_hash != wanted_hash:
-        raise ValueError(f"the sweep in {sweep_dir} was made for another model "
-                         f"or grid config (sweep hash {stored_hash!r}, configured "
-                         f"{wanted_hash!r}); re-run `cvarsafe sweep`")
-    return dsweep
+def _sweep(cfg, model, grid, out=None, chash=None):
+    """``solver.sweep`` printing a line per solved s, after writing its tables
+    to ``out`` if that is given under ``flags.persist_tables``."""
+    def on_solve(s, vtable, ptable):
+        if out and cfg["flags"]["persist_tables"]:
+            artifacts.write_tables_csv(f"{out}/tables_s={artifacts.fmt(s)}.csv",
+                                       vtable, ptable, grid, chash)
+        i = int(np.searchsorted(grid.s_axis, s)) + 1  # s's place on the axis
+        print(f"  solved s={s:g} ({i}/{grid.s_axis.size})",
+              file=sys.stderr, flush=True)
+
+    return sweep(model, grid, threads=cfg["threads"], on_solve=on_solve)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     model, grid, chash = _prepare(cfg)
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
     print(f"sweep: {grid.s_axis.size} dual parameters, backend={backend()}",
           file=sys.stderr)
-    write_tables = None
-    if cfg["flags"]["persist_tables"]:
-        def write_tables(s, vtable, ptable):
-            artifacts.write_tables_csv(
-                f"{args.out}/tables_s={artifacts.fmt(s)}.csv",
-                vtable, ptable, grid, chash)
-
-    dsweep = sweep(model, grid, threads=cfg["threads"], progress=True,
-                   on_solve=write_tables)
+    dsweep = _sweep(cfg, model, grid, args.out, chash)
     artifacts.write_sweep(args.out, dsweep, grid, chash,
                           config_mod.sweep_hash(cfg))
-    print(f"sweep finished in {time.perf_counter() - t0:.2f}s -> {args.out}",
-          file=sys.stderr)
     return 0
 
 
@@ -123,10 +101,9 @@ def cmd_safe_sets(args) -> int:
     cfg = _load(args)
     model, grid, chash = _prepare(cfg)
     config_mod.rs_within_range(cfg, model)
-    sweep_dir = args.sweep or args.out
-    dsweep = _read_matching_sweep(sweep_dir, cfg, grid)
+    dsweep = artifacts.read_sweep(args.sweep or args.out, grid,
+                                  config_mod.sweep_hash(cfg))
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
     counts = {}
     for alpha in cfg["alphas"]:
         surface = risk_value(dsweep, alpha, model.g_lower)
@@ -150,8 +127,6 @@ def cmd_safe_sets(args) -> int:
         "total_cells": grid.n_xnodes,
     }
     artifacts.write_json(f"{args.out}/summary.json", summary)
-    print(f"safe-sets finished in {time.perf_counter() - t0:.2f}s -> {args.out}",
-          file=sys.stderr)
     return 0
 
 
@@ -160,9 +135,8 @@ def cmd_deploy(args) -> int:
     model, grid, chash = _prepare(cfg)
     config_mod.x0_within_bounds(cfg, model)
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
     if args.sweep:
-        dsweep = _read_matching_sweep(args.sweep, cfg, grid)
+        dsweep = artifacts.read_sweep(args.sweep, grid, config_mod.sweep_hash(cfg))
     else:
         dsweep = sweep(model, grid, threads=cfg["threads"])
     x0 = np.asarray(cfg["deploy"]["x0"], dtype=np.float64)
@@ -187,13 +161,10 @@ def cmd_deploy(args) -> int:
         summary["consistency_gap"] = abs(stats["excess_hat"] - policy.dp_value)
         artifacts.write_rollouts_csv(f"{args.out}/rollouts.csv", batch, chash)
     artifacts.write_json(f"{args.out}/deploy_summary.json", summary)
-    print(f"deploy finished in {time.perf_counter() - t0:.2f}s -> {args.out}",
-          file=sys.stderr)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
     for flag, value, minimum in (("--count", args.count, 0),
                                  ("--seed", args.seed, 0),
                                  ("--budget", args.budget, 1)):
@@ -239,8 +210,7 @@ def cmd_oracle(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         artifacts.write_json(f"{args.out}/oracle_report.json", report)
     status = "PASS" if not failures else f"FAIL ({len(failures)} mismatches)"
-    print(f"oracle: {len(instances)} instances checked in "
-          f"{time.perf_counter() - t0:.2f}s: {status}", file=sys.stderr)
+    print(f"oracle: {len(instances)} instances checked: {status}", file=sys.stderr)
     return 0 if not failures else 1
 
 
@@ -259,7 +229,6 @@ def _default_corpus():
 
 def cmd_compare_designs(args) -> int:
     cfg = _load(args)
-    t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     chash = config_mod.config_hash(cfg)
     counts = {}
@@ -271,7 +240,7 @@ def cmd_compare_designs(args) -> int:
         model, grid, _ = _prepare(dcfg)
         config_mod.rs_within_range(dcfg, model)
         print(f"compare-designs: sweeping design {design}", file=sys.stderr)
-        dsweep = sweep(model, grid, threads=cfg["threads"], progress=True)
+        dsweep = _sweep(cfg, model, grid)
         for alpha in cfg["alphas"]:
             surface = risk_value(dsweep, alpha, model.g_lower)
             for r in cfg["rs"]:
@@ -295,8 +264,6 @@ def cmd_compare_designs(args) -> int:
                   for (d, a, r), n in counts.items()},
     }
     artifacts.write_json(f"{args.out}/compare_summary.json", summary)
-    print(f"compare-designs finished in {time.perf_counter() - t0:.2f}s "
-          f"-> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -306,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-sensitive safe sets via dual-parameter value iteration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
 
@@ -353,14 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        status = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a missing or unreadable file too
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{args.command} finished in {time.perf_counter() - t0:.2f}s"
+          + (f" -> {args.out}" if args.out else ""), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

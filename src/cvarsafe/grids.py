@@ -16,6 +16,7 @@ it until that holds, exact on any axis whose span is a finite double.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,12 +27,15 @@ __all__ = ["AugmentedGrid", "locate_batch"]
 
 def checked_axis(values, name: str) -> np.ndarray:
     """``values`` as a float64 array if it is a nonempty, strictly increasing
-    1-d array of finite nodes, else a ValueError naming the axis ``name``."""
+    1-d array of finite nodes whose span ``axis[-1] - axis[0]`` is a finite
+    double, else a ValueError naming the axis ``name``."""
     ax = np.asarray(values, dtype=np.float64)
+    # Compared, not subtracted, and spanned in Python floats: no overflow.
     if ax.ndim != 1 or not (ax.size and np.isfinite(ax).all()
-                            and (np.diff(ax) > 0).all()):
-        raise ValueError(
-            f"{name} must be a nonempty, strictly increasing, finite 1-d array")
+                            and (ax[1:] > ax[:-1]).all()
+                            and math.isfinite(float(ax[-1]) - float(ax[0]))):
+        raise ValueError(f"{name} must be a nonempty, strictly increasing, "
+                         "finite 1-d array with a finite span")
     return ax
 
 

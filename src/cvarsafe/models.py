@@ -121,40 +121,28 @@ def g_k(x, params: StormwaterParams):
     return np.maximum(np.maximum(x[..., 0] - params.k1, x[..., 1] - params.k2), 0.0)
 
 
-def _ramp_outflow(level, elev, top, q_max):
-    # Regulated outlet: zero at or below `elev`, linear up to q_max at `top`.
+def _outlet(level, params: StormwaterParams, n, r, elev, top):
+    # n orifices of radius r: zero at or below `elev`, rising linearly to
+    # n c_d pi r^2 sqrt(2 g (top - elev)) at `top`.
     level = np.asarray(level, dtype=np.float64)
     span = top - elev
+    q_max = n * params.c_d * np.pi * r**2 * np.sqrt(2.0 * params.g_tilde * span)
     return q_max - (q_max / span) * np.minimum(top - level, span)
-
-
-def max_storm_rate(params: StormwaterParams, tank: int = 2) -> float:
-    top = params.kbar2 if tank == 2 else params.kbar1
-    span = top - params.z2
-    return params.c_d * np.pi * params.r_s**2 * np.sqrt(2.0 * params.g_tilde * span)
-
-
-def max_cso_rate(params: StormwaterParams, tank: int) -> float:
-    if tank == 1:
-        n, r, span = params.n_cso1, params.r_cso1, params.kbar1 - params.k1
-    else:
-        n, r, span = params.n_cso2, params.r_cso2, params.kbar2 - params.k2
-    return n * params.c_d * np.pi * r**2 * np.sqrt(2.0 * params.g_tilde * span)
 
 
 def q_storm(level, params: StormwaterParams, tank: int = 2):
     """Storm-sewer outflow from a tank level (tank 1 exists in design c only)."""
     top = params.kbar2 if tank == 2 else params.kbar1
-    return _ramp_outflow(level, params.z2, top, max_storm_rate(params, tank))
+    return _outlet(level, params, 1, params.r_s, params.z2, top)
 
 
 def q_cso(level, tank: int, params: StormwaterParams):
     """Combined-sewer outflow; zero at or below the invert elevation k_i."""
     if tank == 1:
-        elev, top = params.k1, params.kbar1
-    else:
-        elev, top = params.k2, params.kbar2
-    return _ramp_outflow(level, elev, top, max_cso_rate(params, tank))
+        return _outlet(level, params, params.n_cso1, params.r_cso1,
+                       params.k1, params.kbar1)
+    return _outlet(level, params, params.n_cso2, params.r_cso2,
+                   params.k2, params.kbar2)
 
 
 def q_valve(x, u, params: StormwaterParams):

@@ -17,7 +17,6 @@ worker count.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,13 +73,14 @@ class SafeSetMask:
 
 
 def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
-          progress: bool = False, on_solve=None) -> DualSweep:
+          on_solve=None) -> DualSweep:
     """Run value iteration for every dual parameter on the s axis.
 
     The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
     ``threads`` bounds the worker count; any count yields identical output.
-    ``on_solve(s, value_table, policy_table)``, when given, is called with
-    each solve's full tables, from the worker thread that made them.
+    The sweep prints nothing: ``on_solve(s, value_table, policy_table)``,
+    when given, is called from each solve's worker thread as it finishes, for
+    a caller to report progress or keep the full tables, which ``sweep`` drops.
     """
     if grid.z_axis[0] != 0.0:
         raise ValueError("sweep requires a z axis starting at 0")
@@ -93,9 +93,6 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
         v0[i] = vtable.values[0][:, 0]
         if on_solve is not None:
             on_solve(s_values[i], vtable, ptable)
-        if progress:
-            print(f"  solved s={s_values[i]:g} ({i + 1}/{s_values.size})",
-                  file=sys.stderr, flush=True)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:

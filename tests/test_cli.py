@@ -13,7 +13,7 @@ from cvarsafe import (RolloutBatch, cli, dp, rollout, solver,
 from cvarsafe.artifacts import (SCHEMA_VERSION, read_sweep, write_rollouts_csv,
                                 write_tables_csv)
 from cvarsafe.config import (build_grid, build_model, config_hash, load_config,
-                             resolve_config)
+                             resolve_config, sweep_hash)
 
 TINY_CONFIG = {
     "model": {"disturbance": "smoke"},
@@ -52,6 +52,25 @@ def edit_sweep_meta(sweep_dir, edit):
     path.write_text(json.dumps(meta))
 
 
+def edit_sweep_csv(sweep_dir, edit):
+    """Rewrite sweep.csv after ``edit`` changed its list of data rows, each a
+    list of cells."""
+    path = sweep_dir / "sweep.csv"
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    edit(rows)
+    path.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+
+
+def read_configured_sweep(config_path, sweep_dir):
+    """``read_sweep`` of ``sweep_dir`` for the config at ``config_path``:
+    (the sweep, the configured grid, the config hash)."""
+    cfg = load_config(config_path)
+    grid = build_grid(cfg, build_model(cfg))
+    return (read_sweep(str(sweep_dir), grid, sweep_hash(cfg)), grid,
+            config_hash(cfg))
+
+
 def read_tree(root):
     """The bytes of every file under ``root``, keyed by its relative path."""
     return {str(path.relative_to(root)): path.read_bytes()
@@ -73,7 +92,7 @@ class TestSweepCommand:
     def test_artifacts_and_roundtrip(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
-        dsweep, grid, chash = read_sweep(str(out))
+        dsweep, grid, chash = read_configured_sweep(tiny_config, out)
         assert dsweep.v0.shape == (5, 49)
         assert np.all(dsweep.v0[-1] == 0.0)
         assert len(chash) == 12
@@ -94,6 +113,15 @@ class TestSweepCommand:
                   "--threads", "4"])
         assert read_tree(out1)["sweep.csv"] == read_tree(out2)["sweep.csv"]
 
+    def test_one_progress_line_per_s(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                         "--threads", "2"]) == 0
+        solved = [line.split() for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("  solved ")]
+        assert sorted(solved) == [["solved", f"s={s:g}", f"({k}/5)"]
+                                  for k, s in enumerate([0, 0.5, 1, 1.5, 2], 1)]
+
     def test_persist_tables_flag(self, tmp_path):
         path = write_config(tmp_path, "config.json",
                             {"flags": {"persist_tables": True}})
@@ -108,7 +136,7 @@ class TestSweepCommand:
         for command in (["safe-sets"], ["deploy", "--sweep", str(out)],
                         ["compare-designs"]):
             assert cli.main(command + ["--config", path, "--out", str(out)]) == 0
-        chash = read_sweep(str(out))[2]
+        chash = read_configured_sweep(path, out)[2]
         for csv in sorted(out.glob("*.csv")):
             lines = csv.read_text().splitlines()
             assert lines[0] == f"# config={chash}", csv.name
@@ -147,7 +175,7 @@ class TestSweepCommand:
         cfg = load_config(path)
         model = build_model(cfg)
         grid = build_grid(cfg, model)
-        chash = read_sweep(str(out))[2]
+        chash = read_configured_sweep(path, out)[2]
         for s in grid.s_axis:
             ref = tmp_path / "ref.csv"
             write_tables_csv(str(ref), *dp.value_iteration(float(s), model, grid),
@@ -221,7 +249,7 @@ class TestSafeSetsCommand:
         edit_sweep_meta(out, lambda meta: meta.update(
             schema_version=SCHEMA_VERSION + 1))
         with pytest.raises(ValueError, match="schema version"):
-            read_sweep(str(out))
+            read_configured_sweep(tiny_config, out)
         capsys.readouterr()
         assert cli.main(["safe-sets", "--config", tiny_config,
                          "--out", str(out)]) == 1
@@ -330,6 +358,119 @@ class TestDeployCommand:
         assert not out.exists()  # refused before the sweep ran
 
 
+def edit_meta(edit):
+    return lambda sweep_dir: edit_sweep_meta(sweep_dir, edit)
+
+
+def write_meta(text):
+    return lambda sweep_dir: (sweep_dir / "sweep_meta.json").write_text(text)
+
+
+def edit_csv(edit):
+    return lambda sweep_dir: edit_sweep_csv(sweep_dir, edit)
+
+
+# Edits of a tiny sweep (s axis 0, 0.5, ..., 2) after which reading it for
+# the tiny config is refused, and the file the refusal names.
+REFUSED_SWEEPS = {
+    "other-schema-version": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(schema_version=SCHEMA_VERSION + 1))),
+    "schema-version-true": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(schema_version=True))),
+    "meta-not-json": ("sweep_meta.json", write_meta("{")),
+    "meta-not-an-object": ("sweep_meta.json", write_meta("[]")),
+    "no-x-axes": ("sweep_meta.json", edit_meta(lambda meta: meta.pop("x_axes"))),
+    "no-z-axis": ("sweep_meta.json", edit_meta(lambda meta: meta.pop("z_axis"))),
+    "no-action-axis": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.pop("action_axis"))),
+    "no-s-axis": ("sweep_meta.json", edit_meta(lambda meta: meta.pop("s_axis"))),
+    "no-sweep-hash": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.pop("sweep_hash"))),
+    "z-axis-string": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(z_axis="0.0,0.5"))),
+    "x-axis-string-node": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["x_axes"][0].__setitem__(0, "0.0"))),
+    "s-axis-bools": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(s_axis=[False, True]))),
+    "sweep-hash-number": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(sweep_hash=7))),
+    "other-x-axis": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["x_axes"][1].__setitem__(-1, 6.5))),
+    "fewer-x-axes": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["x_axes"].pop())),
+    "other-z-axis": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["z_axis"].append(3.0))),
+    "other-action-axis": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["action_axis"].__setitem__(1, 0.3))),
+    "other-s-axis": ("sweep_meta.json", edit_meta(
+        lambda meta: meta["s_axis"].__setitem__(1, 0.25))),
+    "other-sweep-hash": ("sweep_meta.json", edit_meta(
+        lambda meta: meta.update(sweep_hash="0" * 12))),
+    "one-row": ("sweep.csv", edit_csv(lambda rows: rows.__delitem__(
+        slice(1, None)))),
+    "extra-row": ("sweep.csv", edit_csv(lambda rows: rows.append(rows[-1]))),
+    "short-row": ("sweep.csv", edit_csv(lambda rows: rows[2].pop())),
+    "long-row": ("sweep.csv", edit_csv(lambda rows: rows[2].append("0.0"))),
+    "edited-s": ("sweep.csv", edit_csv(lambda rows: rows[1].__setitem__(
+        0, "0.25"))),
+    "reversed-rows": ("sweep.csv", edit_csv(lambda rows: rows.reverse())),
+    "text-cell": ("sweep.csv", edit_csv(lambda rows: rows[0].__setitem__(
+        3, "x"))),
+}
+
+
+class TestSweepProvenance:
+    @pytest.mark.parametrize("case", sorted(REFUSED_SWEEPS))
+    def test_refused_naming_the_file(self, tiny_config, tmp_path, capsys, case):
+        filename, edit = REFUSED_SWEEPS[case]
+        base = tmp_path / "base"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(base)]) == 0
+        edit(base)
+        capsys.readouterr()
+        for command in ("safe-sets", "deploy"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", tiny_config, "--out", str(out),
+                             "--sweep", str(base)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {base}/{filename}"), err
+            assert "finished in" not in err
+            assert not list(out.glob("*.json"))
+
+    def test_unreadable_file_refused_naming_it(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
+        (out / "sweep.csv").unlink()
+        (out / "sweep.csv").mkdir()
+        capsys.readouterr()
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 1
+        assert f"{out}/sweep.csv" in capsys.readouterr().err
+
+    def test_untouched_sweep_is_read_back_exactly(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
+        dsweep, grid, _ = read_configured_sweep(tiny_config, out)
+        cfg = load_config(tiny_config)
+        want = solver.sweep(build_model(cfg), grid)
+        assert np.array_equal(dsweep.s_values, want.s_values)
+        assert np.array_equal(dsweep.v0, want.v0)
+
+
+def test_one_timing_line_per_command(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    for argv in (["sweep", "--config", tiny_config],
+                 ["safe-sets", "--config", tiny_config],
+                 ["deploy", "--config", tiny_config, "--sweep", str(out)],
+                 ["compare-designs", "--config", tiny_config],
+                 ["oracle", "--count", "1"]):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        timing = [line for line in capsys.readouterr().err.splitlines()
+                  if "finished in" in line]
+        assert len(timing) == 1
+        assert re.fullmatch(rf"{argv[0]} finished in \d+\.\d\ds -> "
+                            + re.escape(str(out)), timing[0])
+
+
 class TestOracleCommand:
     def test_generated_corpus_passes(self, tmp_path):
         out = tmp_path / "run"
@@ -362,6 +503,19 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--corpus", str(bad), "--out", str(out)]) == 2
         assert "corpus parse failed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_corpus_states_whose_span_overflows_refused_at_parse(
+            self, tmp_path, capsys):
+        inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0], [1.5]],
+                "horizon": 1, "next": [[[0, 1]], [[1, 2]], [[2, 2]]],
+                "probs": [[[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]]],
+                "states": [-1e308, 0.0, 1e308], "terminal": [0.5, 1.5, 2.0],
+                "x0": 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 1, "instances": [inst]}))
+        assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "corpus parse failed" in err and "finite span" in err
 
     def test_corpus_nan_probability_refused_at_parse(self, tmp_path, capsys):
         inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],

@@ -45,7 +45,11 @@ class TestConstruction:
         ({"x_axes": ([np.nan],)}, "grid x axis 0 must be"),
         ({"x_axes": ([np.inf],)}, "grid x axis 0 must be"),
         ({"x_axes": ([0.0, 1.0], [0.0, np.inf])}, "grid x axis 1 must be"),
-    ], ids=["descending", "nan", "empty", "single-nan", "single-inf", "inf-last"])
+        ({"x_axes": ([-1e308, 0.0, 1e308],)}, "grid x axis 0 must be"),
+        ({"z_axis": [-1.7e308, 1.7e308]}, "grid z axis must be .* finite span"),
+        ({"s_axis": [1.7e308, -1.7e308, 1.7e308]}, "grid s axis must be"),
+    ], ids=["descending", "nan", "empty", "single-nan", "single-inf", "inf-last",
+            "span-overflows", "step-overflows", "descending-step-overflows"])
     def test_bad_axis_named(self, axes, error):
         spec = {"x_axes": ([0.0, 1.0],), "z_axis": [0.0, 2.0],
                 "action_axis": [0.0, 1.0], "s_axis": [0.0, 2.0], **axes}

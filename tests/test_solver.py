@@ -39,6 +39,16 @@ class TestSweep:
         assert ds.s_values[0] == 0.0
         assert_allclose(ds.v0[0][inst.x0], _excess_dp(inst, 0.0), atol=1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_writes_nothing_to_stderr(self, capfd, threads):
+        coarse_sweep(threads=threads)
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        solved = []
+        sweep(model, AugmentedGrid.uniform(model, (5, 5), 3, 3, 3),
+              threads=threads, on_solve=lambda s, *tables: solved.append(s))
+        assert sorted(solved) == [0.0, 1.0, 2.0]
+        assert capfd.readouterr() == ("", "")
+
     def test_rejects_grid_without_zero_z(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid(x_axes=(np.array([0.0, 5.0]), np.array([0.0, 6.0])),
