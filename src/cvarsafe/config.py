@@ -196,9 +196,9 @@ def sweep_hash(cfg: dict) -> str:
 
 def build_model(cfg: dict) -> SystemModel:
     params_cfg = dict(cfg["model"]["params"])
-    if "pump" in params_cfg:
-        params_cfg["pump"] = PumpParams(**params_cfg["pump"])
     try:
+        if "pump" in params_cfg:
+            params_cfg["pump"] = PumpParams(**params_cfg["pump"])
         params = design_params(cfg["model"]["design"], **params_cfg)
     except ValueError as exc:
         raise ConfigError(f"model.params: {exc}") from exc

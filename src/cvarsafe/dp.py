@@ -11,8 +11,8 @@ atoms) does not depend on s, so it is precomputed once and shared across a
 whole dual-parameter sweep.
 
 One Bellman step over every (state node, running-max node) pair is the hot
-loop of the solver; ``sweep_kernel`` runs it in numpy. Below the stage cost
-the expectation, linear in J_{t+1}, is interpolated once at z' = c(x, u).
+loop of the solver; ``sweep_kernel`` runs it in numpy in the tables' own x-major
+order. Below the stage cost the expectation is interpolated once at c(x, u).
 """
 
 from __future__ import annotations
@@ -59,7 +59,11 @@ class PolicyTable:
 
 @dataclass(frozen=True)
 class TransitionTables:
-    """Precomputed, s-independent transition geometry for one (model, grid)."""
+    """Precomputed, s-independent transition geometry for one (model, grid).
+
+    ``probs``, ``corner_idx`` and ``corner_wt`` are stored atom- and corner-major
+    behind these shapes: ``sweep_kernel`` runs at stride 1 only while every
+    ``[:, :, iw]`` and ``[:, :, iw, c]`` slice is C-contiguous."""
 
     cost: np.ndarray        # (n_x, n_u)
     probs: np.ndarray       # (n_x, n_u, n_w), zero-padded
@@ -82,9 +86,8 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     n_x, n_u = nodes.shape[0], actions.size
     dim = grid.state_dim
 
-    cost = np.asarray(model.stage_cost(nodes[:, None, :], actions[None, :]),
-                      dtype=np.float64)
-    cost = np.broadcast_to(cost, (n_x, n_u)).copy()
+    cost = np.broadcast_to(model.stage_cost(nodes[:, None, :], actions[None, :]),
+                           (n_x, n_u)).astype(np.float64)
     if not ((cost >= 0.0) & (cost <= model.c_bar)).all():  # NaN fails too
         raise ValueError(
             f"stage costs must lie in [0, {model.c_bar}], got range "
@@ -97,36 +100,33 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
         dtype=np.float64)
     nxt = np.broadcast_to(nxt, (n_x, n_u, n_w, dim))
 
-    idxs, fracs = [], []
+    located = []
     for d, ax in enumerate(grid.x_axes):
         coord = nxt[..., d]
         if not ((coord >= ax[0]) & (coord <= ax[-1])).all():
             raise RuntimeError(
                 f"transition left the grid along dimension {d}: "
                 f"[{coord.min()}, {coord.max()}] vs [{ax[0]}, {ax[-1]}]")
-        idx, frac = locate_batch(ax, coord)
-        idxs.append(idx)
-        fracs.append(frac)
+        located.append(locate_batch(ax, coord))
+    idxs, fracs = zip(*located)
 
     n_corners = 1 << dim
     strides = grid._x_strides
-    corner_idx = np.zeros((n_x, n_u, n_w, n_corners), dtype=np.int64)
-    corner_wt = np.ones((n_x, n_u, n_w, n_corners))
+    corner_idx = np.zeros((n_w, n_corners, n_x, n_u), np.int64).transpose(2, 3, 0, 1)
+    corner_wt = np.ones((n_w, n_corners, n_x, n_u)).transpose(2, 3, 0, 1)
     for c in range(n_corners):
-        for d in range(dim):
-            size = grid.x_axes[d].size
-            if c >> d & 1:
-                corner_wt[..., c] *= fracs[d]
-                corner_idx[..., c] += np.minimum(idxs[d] + 1, size - 1) * strides[d]
-            else:
-                corner_wt[..., c] *= 1.0 - fracs[d]
-                corner_idx[..., c] += idxs[d] * strides[d]
+        for d in range(dim):  # bit d of c set: the upper node along d
+            up = c >> d & 1
+            corner_wt[..., c] *= fracs[d] if up else 1.0 - fracs[d]
+            node = np.minimum(idxs[d] + up, grid.x_axes[d].size - 1)
+            corner_idx[..., c] += node * strides[d]
 
     cz_idx, cz_frac = locate_batch(grid.z_axis, cost)
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
     if not ((terminal >= 0.0) & (terminal <= model.c_bar)).all():
         raise ValueError("terminal costs must lie in [0, c_bar]")
-    return TransitionTables(cost, probs.copy(), corner_idx, corner_wt,
+    probs = np.moveaxis(probs, 2, 0).copy().transpose(1, 2, 0)
+    return TransitionTables(cost, probs, corner_idx, corner_wt,
                             cz_idx.astype(np.int64), cz_frac, terminal)
 
 
@@ -139,40 +139,37 @@ def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_
     """One backward Bellman step over every (state node, z node) pair.
 
     Inputs are ``J_next`` (n_x, n_z), the z axis and the fields of
-    ``TransitionTables`` (shapes listed there). One gather per (atom,
-    corner) builds the z-major (n_z, n_x, n_u) expectation ``q`` of
-    ``J_next`` at z' = z, the backup wherever z >= c(x, u). Below c(x, u)
-    every z continues from z' = c(x, u), and the expectation is linear in
-    ``J_next``, so the backup there is ``q`` interpolated at c. Entries at
-    or above c are bit-identical to a scalar loop that interpolates inside
-    every (atom, corner) term; the others differ from it by at most
-    ``2 * gamma(n_w + n_c + 3) * max|J_next|`` per action, with
-    ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit total weight.
-    Returns the minimized values and the argmin action indices, both
+    ``TransitionTables`` (shapes listed there). One gather of ``J_next``
+    rows per (atom, corner) builds the x-major (n_x, n_u, n_z) expectation
+    ``q`` of ``J_next`` at z' = z, the backup wherever z >= c(x, u). Below
+    c(x, u) every z continues from z' = c(x, u), and the expectation is
+    linear in ``J_next``, so the backup there is ``q`` interpolated at c.
+    Entries at or above c are bit-identical to a scalar loop that
+    interpolates inside every (atom, corner) term; the others differ from
+    it by at most ``2 * gamma(n_w + n_c + 3) * max|J_next|`` per action,
+    with ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit total
+    weight. Returns the minimized values and the argmin action indices, both
     (n_x, n_z); ties go to the lowest action index.
     """
     n_z = J_next.shape[1]
-    J_z = np.ascontiguousarray(J_next.T, dtype=np.float64)  # (n_z, n_x)
-    q = np.zeros((n_z,) + cost.shape)
+    q = np.zeros(cost.shape + (n_z,))
     v = np.empty_like(q)
     buf = np.empty_like(q)
     for iw in range(probs.shape[2]):
         v.fill(0.0)
         for c in range(corner_idx.shape[3]):
-            # Contiguous copies: the gather and the broadcasts then run at stride 1.
-            np.take(J_z, np.ascontiguousarray(corner_idx[:, :, iw, c]), axis=1,
-                    out=buf)
-            buf *= np.ascontiguousarray(corner_wt[:, :, iw, c])
+            # In range by construction; mode "raise" would copy through a buffer.
+            np.take(J_next, corner_idx[:, :, iw, c], axis=0, out=buf, mode="clip")
+            buf *= corner_wt[:, :, iw, c, None]
             v += buf
-        v *= np.ascontiguousarray(probs[:, :, iw])
+        v *= probs[:, :, iw, None]
         q += v
-    lo = np.take_along_axis(q, cz_idx[None], axis=0)[0]
-    hi = np.take_along_axis(q, np.minimum(cz_idx + 1, n_z - 1)[None], axis=0)[0]
-    np.copyto(q, (1.0 - cz_frac) * lo + cz_frac * hi,
-              where=z_axis[:, None, None] < cost)
-    best_u = np.argmin(q, axis=2)  # first occurrence: lowest action index
-    best = np.take_along_axis(q, best_u[..., None], axis=2)[..., 0]
-    return np.ascontiguousarray(best.T), np.ascontiguousarray(best_u.T)
+    lo = np.take_along_axis(q, cz_idx[..., None], axis=2)
+    hi = np.take_along_axis(q, np.minimum(cz_idx + 1, n_z - 1)[..., None], axis=2)
+    np.copyto(q, (1.0 - cz_frac[..., None]) * lo + cz_frac[..., None] * hi,
+              where=z_axis < cost[..., None])
+    best = q.min(axis=1)  # np.argmin along axis 1 would copy q
+    return best, np.argmax(q == best[:, None], axis=1)  # lowest action at the min
 
 
 def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,

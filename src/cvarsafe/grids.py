@@ -10,14 +10,15 @@ nodes ``a < b`` the rule picks ``b`` iff ``fl(b - v) < fl(v - a)``, so ties
 go to ``a``. The predicate is monotone in ``v``, so its decision point ``t``
 is the smallest double in ``(a, b]`` where it holds, and node ``j`` is
 nearest iff ``t_{j-1} <= v < t_j`` (``t_{-1} = -inf``, ``t_{n-1} = +inf``).
-Each axis finds its points once; a lookup guesses ``j`` affinely and steps
-it until that holds, exact on any axis whose span is a finite double.
+Each axis finds them on its first lookup; a lookup guesses ``j`` affinely
+and steps it until that holds, exact on any axis whose span is finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -107,8 +108,10 @@ class AugmentedGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
         object.__setattr__(self, "_x_nodes", nodes)
-        object.__setattr__(self, "_x_cuts", tuple(map(decision_points, axes)))
-        object.__setattr__(self, "_z_cuts", decision_points(self.z_axis))
+
+    # Decision points on the first lookup: only rollouts look nodes up.
+    _x_cuts = cached_property(lambda self: tuple(map(decision_points, self.x_axes)))
+    _z_cuts = cached_property(lambda self: decision_points(self.z_axis))
 
     @classmethod
     def uniform(cls, model, x_counts, z_count: int, action_count: int, s_count: int):

@@ -14,7 +14,7 @@ evaluated for whole batches of states at once. Units: ft, s, cfs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -42,6 +42,13 @@ __all__ = [
 DESIGNS = ("a", "b", "c", "d")
 
 
+def _require_finite(params):
+    """ValueError naming the first float field of ``params`` that is not finite."""
+    for f in fields(params):
+        if f.type == "float" and not abs(getattr(params, f.name)) < np.inf:
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class PumpParams:
     """Bidirectional pump: max rate, startup slack band, threshold elevation."""
@@ -49,6 +56,11 @@ class PumpParams:
     q_max: float = 10.0           # cfs
     eps: float = 1.0 / 12.0       # ft
     z_elev: float = 1.0           # ft
+
+    def __post_init__(self):
+        _require_finite(self)  # then conditions that must hold, NaN failing
+        if not (self.q_max > 0 and self.eps > 0 and self.z_elev > self.eps):
+            raise ValueError("pump needs q_max > 0 and z_elev > eps > 0")
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,12 @@ class StormwaterParams:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
+        _require_finite(self)  # then conditions that must hold, NaN failing
         for name in ("a1", "a2", "c_d", "g_tilde", "r_s", "r_v", "dt",
                      "r_cso1", "r_cso2"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.kbar1 <= self.k1 or self.kbar2 <= self.k2:
+        if not (self.kbar1 > self.k1 and self.kbar2 > self.k2):
             raise ValueError("max levels must exceed the invert elevations")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -92,11 +105,6 @@ class StormwaterParams:
             raise ValueError("outlet counts must be >= 1")
         if (self.design == "b") != (self.pump is not None):
             raise ValueError("pump parameters are required exactly for design b")
-        if self.pump is not None:
-            if self.pump.q_max <= 0 or self.pump.eps <= 0:
-                raise ValueError("pump.q_max and pump.eps must be positive")
-            if self.pump.z_elev - self.pump.eps <= 0:
-                raise ValueError("pump threshold must exceed its slack band")
 
 
 def design_params(design: str = "a", **overrides) -> StormwaterParams:

@@ -84,8 +84,8 @@ class TinyInstance:
         if not ((next_idx >= 0) & (next_idx < n_s)
                 & (next_idx == np.round(next_idx))).all():
             raise ValueError("next_idx must hold integral state indices in range")
-        if self.c_bar <= 0:
-            raise ValueError("c_bar must be positive")
+        if not 0 < self.c_bar < np.inf:
+            raise ValueError("c_bar must be positive and finite")
         # Conditions that must hold, so that a NaN cost fails them.
         if not all(((c >= 0.0) & (c <= self.c_bar)).all() for c in (cost, terminal)):
             raise ValueError("costs must lie in [0, c_bar]")
@@ -141,27 +141,19 @@ class TinyInstance:
         cost, terminal = self.cost, self.terminal
         probs, next_idx = self.probs, self.next_idx
 
+        def at(x, u=None):  # instance indices of grid states (and actions)
+            xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
+            return xi if u is None else (
+                xi, np.searchsorted(actions, np.asarray(u, dtype=np.float64)))
+
         def dyn(x, u, w):
-            xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
-            ui = np.searchsorted(actions, np.asarray(u, dtype=np.float64))
             wi = np.asarray(w, dtype=np.float64).astype(np.int64)
-            return states[next_idx[xi, ui, wi]][..., None]
-
-        def stage(x, u):
-            xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
-            ui = np.searchsorted(actions, np.asarray(u, dtype=np.float64))
-            return cost[xi, ui]
-
-        def tcost(x):
-            xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
-            return terminal[xi]
+            return states[next_idx[at(x, u) + (wi,)]][..., None]
 
         atom_values = np.arange(self.n_atoms, dtype=np.float64)
 
         def dist(x, u):
-            xi = np.searchsorted(states, np.asarray(x, dtype=np.float64)[..., 0])
-            ui = np.searchsorted(actions, np.asarray(u, dtype=np.float64))
-            rows = probs[xi, ui]
+            rows = probs[at(x, u)]
             return np.broadcast_to(atom_values, rows.shape), rows
 
         model = SystemModel(
@@ -170,8 +162,8 @@ class TinyInstance:
             action_bounds=(float(actions[0]), float(actions[-1])),
             horizon=self.horizon,
             dynamics=dyn,
-            stage_cost=stage,
-            terminal_cost=tcost,
+            stage_cost=lambda x, u: cost[at(x, u)],
+            terminal_cost=lambda x: terminal[at(x)],
             disturbance=dist,
             c_bar=float(self.c_bar),
             g_lower=0.0,

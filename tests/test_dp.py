@@ -466,6 +466,39 @@ class TestSweepKernel:
                 trans.corner_idx, trans.corner_wt, trans.cz_idx, trans.cz_frac)
         assert_matches_reference(args, *sweep_kernel(*args))
 
+    @pytest.mark.parametrize("law", ["default", "smoke"])
+    def test_atom_and_corner_slices_are_contiguous(self, law):
+        # The storage order the kernel's speed depends on, behind the
+        # documented (n_x, n_u, n_w[, n_c]) shapes.
+        dist = smoke_disturbance() if law == "smoke" else None
+        model = make_stormwater_model(disturbance=dist)
+        grid = AugmentedGrid.uniform(model, (5, 4), 3, 3, 3)
+        trans = precompute_transitions(model, grid)
+        n_w = 2 if law == "smoke" else 9
+        assert trans.probs.shape == (20, 3, n_w)
+        assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, n_w, 4)
+        for iw in range(n_w):
+            assert trans.probs[:, :, iw].flags.c_contiguous
+            for c in range(4):
+                assert trans.corner_idx[:, :, iw, c].flags.c_contiguous
+                assert trans.corner_wt[:, :, iw, c].flags.c_contiguous
+
+    def test_layout_changes_no_answer(self):
+        # The tables as built and C-ordered copies of them give bit-identical
+        # values and argmins: the layout may change the speed, never answers.
+        model = make_stormwater_model()
+        grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
+        trans = precompute_transitions(model, grid)
+        vtable, _ = value_iteration(0.5, model, grid, trans)
+        tables = (trans.cost, trans.probs, trans.corner_idx, trans.corner_wt,
+                  trans.cz_idx, trans.cz_frac)
+        for J_next in vtable.values[:3]:
+            built = sweep_kernel(J_next, grid.z_axis, *tables)
+            copied = sweep_kernel(J_next, grid.z_axis,
+                                  *map(np.ascontiguousarray, tables))
+            assert np.array_equal(built[0], copied[0])
+            assert np.array_equal(built[1], copied[1])
+
 
 class TestTableSerialization:
     def test_csv_layout(self, tmp_path):

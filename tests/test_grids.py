@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cvarsafe import AugmentedGrid, make_stormwater_model
+from cvarsafe import AugmentedGrid, grids, make_stormwater_model, solver
 from cvarsafe.grids import decision_points, locate_batch
 from pointwise import interp_xz, locate, nearest_on_axis
 
@@ -256,6 +256,20 @@ class TestNearest:
         guess = np.rint(vs * 4 / 100)
         assert np.abs(guess - nearest_on_axis(axis, vs)).max() >= 3
         assert_matches_reference(axis, vs)
+
+    def test_decision_points_found_on_first_lookup(self, monkeypatch):
+        # Sweeps never look nodes up, so they never pay for decision points.
+        calls = []
+        monkeypatch.setattr(grids, "decision_points",
+                            lambda axis: calls.append(axis) or decision_points(axis))
+        g = small_grid()
+        solver.sweep(MODEL, g)
+        assert calls == []
+        assert g.nearest_x_index([2.6, 3.1]) == 2 * 7 + 3
+        assert len(calls) == 2  # one per x axis
+        g.nearest_x_index([1.0, 1.0])
+        assert g.nearest_z_index(MODEL.c_bar) == 3
+        assert len(calls) == 3  # the z axis's, once
 
     def test_nan_refused_naming_the_axis(self):
         g = small_grid()

@@ -35,6 +35,20 @@ class TestParams:
         with pytest.raises(ValueError):
             design_params("a", a1=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [
+        "a1", "a2", "c_d", "g_tilde", "k1", "k2", "kbar1", "kbar2", "r_s",
+        "r_v", "dt", "z1", "z1_in", "z2", "r_cso1", "r_cso2"])
+    def test_nonfinite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            design_params("a", **{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["q_max", "eps", "z_elev"])
+    def test_nonfinite_pump_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PumpParams(**{name: value})
+
 
 class TestCostFunction:
     def test_at_the_inverts(self):

@@ -79,6 +79,12 @@ def test_bad_horizon_or_start_rejected(field, value, error):
         dataclasses.replace(two_state_instance(), **{field: value})
 
 
+@pytest.mark.parametrize("c_bar", [np.nan, np.inf, 0.0, -1.0])
+def test_c_bar_must_be_positive_and_finite(c_bar):
+    with pytest.raises(ValueError, match="c_bar must be positive and finite"):
+        dataclasses.replace(two_state_instance(), c_bar=c_bar)
+
+
 def test_integral_floats_stored_as_ints():
     inst = dataclasses.replace(two_state_instance(), horizon=np.float64(2.0), x0=1.0)
     assert (inst.horizon, inst.x0) == (2, 1)
