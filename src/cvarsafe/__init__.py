@@ -7,8 +7,8 @@ two-tank stormwater benchmark and exact small-instance oracles.
 """
 
 from .cvar import Pmf, cvar_dual, cvar_tail, expected_excess, var
-from .dp import (PolicyTable, TransitionTables, ValueTable, backend,
-                 precompute_transitions, value_iteration)
+from .dp import (TransitionTables, backend, precompute_transitions,
+                 value_iteration)
 from .grids import AugmentedGrid
 from .models import (PumpParams, StormwaterParams, SystemModel,
                      default_disturbance, design_params, g_k,
@@ -20,7 +20,6 @@ from .oracle import (OracleError, OracleSizeError, TinyInstance,
                      save_corpus)
 from .rollout import (PrecommitmentPolicy, RolloutBatch, estimate_risk,
                       rollout, synthesize_policy)
-from .solver import (DualSweep, RiskSurface, SafeSetMask, extract_safe_set,
-                     risk_value, sweep)
+from .solver import DualSweep, RiskSurface, extract_safe_set, risk_value, sweep
 
 __version__ = "0.1.0"

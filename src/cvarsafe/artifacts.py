@@ -14,10 +14,9 @@ import json
 
 import numpy as np
 
-from .dp import PolicyTable, ValueTable
 from .grids import AugmentedGrid
 from .rollout import RolloutBatch
-from .solver import DualSweep, RiskSurface, SafeSetMask
+from .solver import DualSweep, RiskSurface
 
 __all__ = [
     "fmt",
@@ -98,7 +97,8 @@ def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> DualSweep:
     sweep_meta.json (schema version, axes, sweep hash) does not read as JSON
     exactly as ``write_sweep`` writes it here (``true`` is not ``1``, nor ``1``
     the node ``1.0``), or unless sweep.csv holds one row per s of the axis, in
-    order, each that s and one value per state node."""
+    order, each that s and one finite value >= 0 per state node, as every
+    V^s is."""
     meta_path, csv_path = f"{out_dir}/sweep_meta.json", f"{out_dir}/sweep.csv"
     path = meta_path
     try:
@@ -133,6 +133,11 @@ def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> DualSweep:
         raise ValueError(f"{csv_path} does not match {meta_path}: expected one "
                          f"row per s, in order, each that s and {n_x} values")
     data = np.asarray(rows)
+    bad = np.argwhere(~((data[:, 1:] >= 0.0) & (data[:, 1:] < np.inf)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{csv_path}: v{j} at s={fmt(data[i, 0])} is "
+                         f"{fmt(data[i, 1 + j])}; every V^s value is finite and >= 0")
     return DualSweep(data[:, 0], data[:, 1:])
 
 
@@ -144,9 +149,10 @@ def write_surface_csv(path, surface: RiskSurface, grid: AugmentedGrid,
               _x_columns(grid) + ["v_star", "w_star", "s_star"], rows)
 
 
-def write_mask_csv(path, mask: SafeSetMask, grid: AugmentedGrid,
+def write_mask_csv(path, mask: np.ndarray, grid: AugmentedGrid,
                    config_hash: str) -> None:
-    rows = zip(*grid.x_nodes().T.tolist(), mask.mask.astype(int).tolist())
+    """A safe-set mask (``solver.extract_safe_set``), one row per state node."""
+    rows = zip(*grid.x_nodes().T.tolist(), mask.astype(int).tolist())
     write_csv(path, config_hash, _x_columns(grid) + ["in_set"], rows)
 
 
@@ -168,23 +174,23 @@ def write_rollouts_csv(path, batch: RolloutBatch, config_hash: str) -> None:
     write_csv(path, config_hash, cols, rows())
 
 
-def write_tables_csv(path, vtable: ValueTable, ptable: PolicyTable,
+def write_tables_csv(path, s: float, values: np.ndarray, action_idx: np.ndarray,
                      grid: AugmentedGrid, config_hash: str) -> None:
-    """Value/policy tables in a stable long format, one row per (t, state
-    indices..., z index): ``t,i0,...,iz,value,action`` where ``action`` is
-    the grid action value (empty at the terminal step, which has no
-    policy)."""
-    horizon = ptable.action_idx.shape[0]
+    """The tables ``value_iteration`` returns at ``s`` in a stable long format,
+    one row per (t, state indices..., z index): ``t,i0,...,iz,value,action``
+    where ``action`` is the grid action value (empty at the terminal step,
+    which has no policy)."""
+    horizon = action_idx.shape[0]
     nodes = list(itertools.product(*map(range, grid.x_shape),
                                    range(grid.z_axis.size)))
 
     def rows():  # one time layer's values at a time
-        for t, table in enumerate(vtable.values):
-            actions = (grid.action_axis[ptable.action_idx[t]].ravel().tolist()
+        for t, table in enumerate(values):
+            actions = (grid.action_axis[action_idx[t]].ravel().tolist()
                        if t < horizon else [None] * len(nodes))
             for node, value, action in zip(nodes, table.ravel().tolist(), actions):
                 yield (t, *node, value, action)
 
     columns = (["t"] + [f"i{d}" for d in range(grid.state_dim)]
                + ["iz", "value", "action"])
-    write_csv(path, config_hash, columns, rows(), comments=[("s", vtable.s)])
+    write_csv(path, config_hash, columns, rows(), comments=[("s", float(s))])

@@ -36,10 +36,7 @@ _ORACLE_ALPHAS = (0.05, 0.25, 0.5, 0.99, 1.0)
 
 
 def _load(args):
-    try:
-        cfg = config_mod.load_config(args.config)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    cfg = config_mod.load_config(args.config)
     if getattr(args, "threads", None) is not None:
         cfg["threads"] = args.threads
     if getattr(args, "seed", None) is not None:
@@ -74,10 +71,10 @@ def _prepare(cfg):
 def _sweep(cfg, model, grid, out=None, chash=None):
     """``solver.sweep`` printing a line per solved s, after writing its tables
     to ``out`` if that is given under ``flags.persist_tables``."""
-    def on_solve(s, vtable, ptable):
+    def on_solve(s, values, action_idx):
         if out and cfg["flags"]["persist_tables"]:
             artifacts.write_tables_csv(f"{out}/tables_s={artifacts.fmt(s)}.csv",
-                                       vtable, ptable, grid, chash)
+                                       s, values, action_idx, grid, chash)
         i = int(np.searchsorted(grid.s_axis, s)) + 1  # s's place on the axis
         print(f"  solved s={s:g} ({i}/{grid.s_axis.size})",
               file=sys.stderr, flush=True)
@@ -115,7 +112,7 @@ def cmd_safe_sets(args) -> int:
             artifacts.write_mask_csv(
                 f"{args.out}/mask_alpha={a_tag}_r={artifacts.fmt(r)}.csv",
                 mask, grid, chash)
-            counts[f"alpha={a_tag},r={artifacts.fmt(r)}"] = mask.cell_count
+            counts[f"alpha={a_tag},r={artifacts.fmt(r)}"] = int(mask.sum())
     summary = {
         "schema_version": artifacts.SCHEMA_VERSION,
         "config_hash": chash,
@@ -173,7 +170,7 @@ def cmd_oracle(args) -> int:
     if args.corpus:
         try:
             instances = load_corpus(args.corpus)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # json.JSONDecodeError included
             print(f"error: corpus parse failed: {exc}", file=sys.stderr)
             return 2
     elif args.count is not None:
@@ -244,7 +241,7 @@ def cmd_compare_designs(args) -> int:
         for alpha in cfg["alphas"]:
             surface = risk_value(dsweep, alpha, model.g_lower)
             for r in cfg["rs"]:
-                counts[(design, alpha, r)] = extract_safe_set(surface, r).cell_count
+                counts[(design, alpha, r)] = int(extract_safe_set(surface, r).sum())
     rows = []
     for design in DESIGNS:
         for alpha in cfg["alphas"]:

@@ -70,11 +70,16 @@ def _merge(base: dict, override: dict, path: str) -> dict:
 
 
 def load_config(path=None) -> dict:
-    """Read a JSON config file and resolve it against the defaults."""
+    """Read a JSON config file and resolve it against the defaults. A file
+    that is not UTF-8 JSON is a ConfigError naming the path; one that cannot
+    be opened raises OSError."""
     raw = {}
     if path is not None:
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     return resolve_config(raw)

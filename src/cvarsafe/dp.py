@@ -25,36 +25,10 @@ from .grids import AugmentedGrid, locate_batch
 from .models import SystemModel
 
 __all__ = [
-    "ValueTable",
-    "PolicyTable",
     "TransitionTables",
     "precompute_transitions",
     "value_iteration",
 ]
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """J_t sampled on the grid for one dual parameter.
-
-    ``values[t]`` is the flat (n_xnodes, n_z) table at time t in 0..N.
-    Entries lie in [0, max(c_bar - s, 0)] and are nondecreasing along z.
-    """
-
-    s: float
-    values: np.ndarray  # (N + 1, n_xnodes, n_z)
-
-
-@dataclass(frozen=True)
-class PolicyTable:
-    """Argmin action indices per time and augmented-grid node.
-
-    ``action_idx[t]`` is the flat (n_xnodes, n_z) index table at time t in
-    0..N-1; indices point into the grid's action axis.
-    """
-
-    s: float
-    action_idx: np.ndarray  # (N, n_xnodes, n_z), int64
 
 
 @dataclass(frozen=True)
@@ -176,9 +150,12 @@ def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,
                     trans: TransitionTables = None):
     """Solve the full backward recursion for one dual parameter.
 
-    Returns the (ValueTable, PolicyTable) pair over all time steps;
-    ``values[0][:, 0]`` (the z = 0 column) is the swept value V^s on the
-    state grid whenever the z axis starts at 0.
+    Returns ``(values, action_idx)``. ``values[t]`` is J_t on the flat
+    (n_xnodes, n_z) grid for t in 0..N; its entries lie in
+    [0, max(c_bar - s, 0)] and are nondecreasing along z, and
+    ``values[0][:, 0]`` (the z = 0 column) is the swept value V^s whenever
+    the z axis starts at 0. ``action_idx[t]`` (int64, t in 0..N-1) holds the
+    argmin indices into the grid's action axis at the same nodes.
     """
     if trans is None:
         trans = precompute_transitions(model, grid)
@@ -195,4 +172,4 @@ def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,
                             trans.cz_idx, trans.cz_frac)
         values[t] = J
         action_idx[t] = U
-    return ValueTable(float(s), values), PolicyTable(float(s), action_idx)
+    return values, action_idx

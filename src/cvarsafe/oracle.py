@@ -201,6 +201,8 @@ class TinyInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TinyInstance":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an instance object, got {d!r}")
         try:
             # JSON numbers only; __post_init__ checks their values and converts.
             for key in ("states", "actions", "cost", "terminal", "probs", "next"):
@@ -372,9 +374,19 @@ def save_corpus(path, instances):
 
 
 def load_corpus(path):
-    """Parse a corpus file; malformed JSON raises with line/column info."""
+    """Parse a corpus file; malformed JSON raises with line/column info, and
+    any other refusal is a ValueError naming ``instances`` or ``instances[i]``."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "instances" not in payload:
         raise ValueError(f"{path}: not a corpus file (missing 'instances')")
-    return [TinyInstance.from_dict(d) for d in payload["instances"]]
+    records = payload["instances"]
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: instances: expected a list, got {records!r}")
+    instances = []
+    for i, d in enumerate(records):
+        try:
+            instances.append(TinyInstance.from_dict(d))
+        except ValueError as exc:
+            raise ValueError(f"{path}: instances[{i}]: {exc}") from exc
+    return instances

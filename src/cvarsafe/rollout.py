@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvar import Pmf, cvar_tail, var
-from .dp import PolicyTable, ValueTable, value_iteration
+from .dp import value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
 from .solver import DualSweep, risk_value
@@ -46,13 +46,15 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class PrecommitmentPolicy:
-    """Deployment package: dual parameter fixed up front plus argmin tables."""
+    """Deployment package: dual parameter fixed up front plus the tables
+    ``value_iteration`` returns at it, ``values`` (N + 1, n_xnodes, n_z) and
+    the argmin ``action_idx`` (N, n_xnodes, n_z) that drives the rollouts."""
 
     alpha: float
     x0: np.ndarray
     s_star: float
-    value_table: ValueTable
-    policy_table: PolicyTable
+    values: np.ndarray
+    action_idx: np.ndarray
     grid: AugmentedGrid
 
     @property
@@ -60,7 +62,7 @@ class PrecommitmentPolicy:
         """J_0 at the grid node nearest x0 and z = 0: the expected excess
         above s_star that the rollouts should reproduce."""
         node = self.grid.nearest_x_index(self.x0)
-        return float(self.value_table.values[0][node, 0])
+        return float(self.values[0][node, 0])
 
 
 @dataclass(frozen=True)
@@ -90,21 +92,22 @@ def synthesize_policy(x0, alpha, dsweep: DualSweep, model: SystemModel,
     surface = risk_value(dsweep, alpha, model.g_lower)
     node = grid.nearest_x_index(x0)
     s_star = float(surface.s_star[node])
-    vtable, ptable = value_iteration(s_star, model, grid)
-    return PrecommitmentPolicy(float(alpha), x0, s_star, vtable, ptable, grid)
+    values, action_idx = value_iteration(s_star, model, grid)
+    return PrecommitmentPolicy(float(alpha), x0, s_star, values, action_idx, grid)
 
 
 def _sample_disturbances(model: SystemModel, x, u, draws):
-    """Inverse-CDF sampling of w per rollout at the current (x, u)."""
-    static = model.static_disturbance
-    if static is not None:
-        cdf = np.cumsum(static.probs)
-        idx = np.searchsorted(cdf, draws, side="right")
-        return static.values[np.minimum(idx, len(static) - 1)]
+    """Inverse-CDF sampling of w per rollout at the current (x, u): the atom
+    index is the count of CDF values at most the draw, capped at n_w - 1, the
+    same for a static law as for a callable one."""
     values, probs = model.disturbance_rows(x, u)
-    cdf = np.cumsum(probs, axis=1)
-    idx = np.minimum((cdf <= draws[:, None]).sum(axis=1), cdf.shape[1] - 1)
-    return values[np.arange(values.shape[0]), idx]
+    draws = np.ascontiguousarray(draws)  # read once per atom: keep it in cache
+    cdf = np.zeros(draws.shape)
+    idx = np.zeros(draws.shape, dtype=np.int64)
+    for k in range(probs.shape[-1] - 1):
+        cdf += probs[..., k]
+        idx += cdf <= draws
+    return np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
 
 
 def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
@@ -142,7 +145,7 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
             u, w = bu[t, :m], bw[t, :m]
             ix = grid.nearest_x_index(x)
             jz = grid.nearest_z_index(z)
-            u[:] = grid.action_axis[policy.policy_table.action_idx[t, ix, jz]]
+            u[:] = grid.action_axis[policy.action_idx[t, ix, jz]]
             w[:] = _sample_disturbances(model, x, u, draws[:, t])
             bx[t + 1, :m] = model.dynamics(x, u, w)
             bz[t + 1, :m] = np.maximum(z, model.stage_cost(x, u))

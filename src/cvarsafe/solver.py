@@ -7,7 +7,7 @@ The pipeline:
   2. per state node, minimize s + V^s(x) / alpha over the s axis with
      ``cvar.minimize_dual``, the same dual minimization as ``cvar_dual``
      (the ``RiskSurface``: optimal value, its shift by g_lower, argmin s),
-  3. threshold the surface at r to get the boolean ``SafeSetMask``.
+  3. threshold the surface at r to get the boolean safe-set mask.
 
 Dual-parameter solves are independent, so the sweep can split the s axis
 across a thread pool; the numpy array operations of the Bellman step release
@@ -27,8 +27,7 @@ from .dp import precompute_transitions, value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
 
-__all__ = ["DualSweep", "RiskSurface", "SafeSetMask", "sweep", "risk_value",
-           "extract_safe_set"]
+__all__ = ["DualSweep", "RiskSurface", "sweep", "risk_value", "extract_safe_set"]
 
 
 @dataclass(frozen=True)
@@ -59,28 +58,16 @@ class RiskSurface:
     s_star: np.ndarray
 
 
-@dataclass(frozen=True)
-class SafeSetMask:
-    """Boolean sub-level set mask: node is in the set iff w_star <= r."""
-
-    alpha: float
-    r: float
-    mask: np.ndarray
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-
 def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
           on_solve=None) -> DualSweep:
     """Run value iteration for every dual parameter on the s axis.
 
     The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
     ``threads`` bounds the worker count; any count yields identical output.
-    The sweep prints nothing: ``on_solve(s, value_table, policy_table)``,
-    when given, is called from each solve's worker thread as it finishes, for
-    a caller to report progress or keep the full tables, which ``sweep`` drops.
+    The sweep prints nothing: ``on_solve(s, values, action_idx)``, when
+    given, is called from each solve's worker thread as it finishes with the
+    tables ``value_iteration`` returned, for a caller to report progress or
+    keep them; ``sweep`` drops them.
     """
     if grid.z_axis[0] != 0.0:
         raise ValueError("sweep requires a z axis starting at 0")
@@ -89,10 +76,10 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     v0 = np.empty((s_values.size, grid.n_xnodes))
 
     def solve_one(i: int):
-        vtable, ptable = value_iteration(float(s_values[i]), model, grid, trans)
-        v0[i] = vtable.values[0][:, 0]
+        values, action_idx = value_iteration(float(s_values[i]), model, grid, trans)
+        v0[i] = values[0][:, 0]
         if on_solve is not None:
-            on_solve(s_values[i], vtable, ptable)
+            on_solve(s_values[i], values, action_idx)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
@@ -117,6 +104,7 @@ def risk_value(dsweep: DualSweep, alpha, g_lower: float = 0.0) -> RiskSurface:
                        dsweep.s_values[best])
 
 
-def extract_safe_set(surface: RiskSurface, r: float) -> SafeSetMask:
-    """Exact sub-level comparison w_star <= r (no tolerance)."""
-    return SafeSetMask(surface.alpha, float(r), surface.w_star <= float(r))
+def extract_safe_set(surface: RiskSurface, r: float) -> np.ndarray:
+    """The safe set as a boolean mask, one entry per state node: the exact
+    sub-level comparison w_star <= r (no tolerance)."""
+    return surface.w_star <= float(r)

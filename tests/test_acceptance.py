@@ -144,7 +144,7 @@ def test_c4_safe_set_nesting(smoke_baseline):
     for alpha in alphas:
         surface = risk_value(dsweep, alpha, model.g_lower)
         for r in rs:
-            masks[(alpha, r)] = extract_safe_set(surface, r).mask
+            masks[(alpha, r)] = extract_safe_set(surface, r)
     for r in rs:
         for bigger, smaller in zip(alphas, alphas[1:]):
             assert np.all(masks[(smaller, r)] <= masks[(bigger, r)]), \
@@ -170,7 +170,7 @@ def test_c5_design_comparison_direction():
         dsweep = sweep(model, coarse_grid(model), threads=4)
         for alpha in (0.99, 0.05):
             surface = risk_value(dsweep, alpha, model.g_lower)
-            counts[(design, alpha)] = extract_safe_set(surface, 1.0).cell_count
+            counts[(design, alpha)] = extract_safe_set(surface, 1.0).sum()
     for alpha in (0.99, 0.05):
         base = counts[("a", alpha)]
         assert base > 0

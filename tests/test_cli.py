@@ -178,7 +178,7 @@ class TestSweepCommand:
         chash = read_configured_sweep(path, out)[2]
         for s in grid.s_axis:
             ref = tmp_path / "ref.csv"
-            write_tables_csv(str(ref), *dp.value_iteration(float(s), model, grid),
+            write_tables_csv(str(ref), s, *dp.value_iteration(float(s), model, grid),
                              grid, chash)
             got = out / f"tables_s={float(s)!r}.csv"
             assert got.read_bytes() == ref.read_bytes()
@@ -416,6 +416,12 @@ REFUSED_SWEEPS = {
     "reversed-rows": ("sweep.csv", edit_csv(lambda rows: rows.reverse())),
     "text-cell": ("sweep.csv", edit_csv(lambda rows: rows[0].__setitem__(
         3, "x"))),
+    "nan-cell": ("sweep.csv", edit_csv(lambda rows: rows[0].__setitem__(
+        3, "nan"))),
+    "inf-cell": ("sweep.csv", edit_csv(lambda rows: rows[2].__setitem__(
+        1, "inf"))),
+    "negative-cell": ("sweep.csv", edit_csv(lambda rows: rows[4].__setitem__(
+        5, "-0.5"))),
 }
 
 
@@ -550,6 +556,22 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--corpus", str(bad)]) == 2
         assert "corpus parse failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["number-record", "instances-number",
+                                      "list-record"])
+    def test_malformed_corpus_refused_at_parse(self, tmp_path, capsys, case):
+        inst = {"actions": [0.0], "c_bar": 2.0, "cost": [[0.5], [1.0]],
+                "horizon": 1, "next": [[[0, 1]], [[0, 1]]],
+                "probs": [[[0.5, 0.5]], [[0.5, 0.5]]],
+                "states": [0.0, 1.0], "terminal": [0.5, 1.5], "x0": 0}
+        instances, where = {"number-record": ([5], "instances[0]"),
+                            "instances-number": (5, "instances"),
+                            "list-record": ([inst, [inst]], "instances[1]")}[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 1, "instances": instances}))
+        assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "corpus parse failed" in err and f"{bad}: {where}: " in err
+
     def test_empty_corpus_warns_and_passes(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text('{"schema": 1, "instances": []}')
@@ -609,11 +631,14 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "o")]) == 2
         assert "alphas[1]" in capsys.readouterr().err
 
-    def test_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"],
+                             ids=["not-json", "not-utf8"])
+    def test_malformed_json(self, tmp_path, capsys, content):
         cfg = tmp_path / "config.json"
-        cfg.write_text("{not json")
+        cfg.write_bytes(content)
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfg}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", [{"z": "abc"}, {"s": 2.5},
                                       {"x": [7, None]}])

@@ -174,7 +174,7 @@ class TestTerminalValue:
                          s_axis=np.array([0.0, 2.0]))
 
     def terminal_value(self, x, z, s):
-        values = value_iteration(s, self.MODEL, self.GRID)[0].values
+        values = value_iteration(s, self.MODEL, self.GRID)[0]
         node = self.GRID.nearest_x_index(np.array(x))
         assert np.array_equal(self.GRID.x_nodes()[node], x)
         (jz,) = np.flatnonzero(self.GRID.z_axis == z)
@@ -252,8 +252,8 @@ class TestBellmanMin:
         # dynamics and cost ignore u entirely -> exact tie at every node
         model = line_model(step=0.0)
         grid = line_grid()
-        _, ptable = value_iteration(0.0, model, grid)
-        assert np.all(ptable.action_idx == 0)
+        _, action_idx = value_iteration(0.0, model, grid)
+        assert np.all(action_idx == 0)
 
     def test_dominating_action_wins(self):
         # u = 1 strictly lowers the next state, hence the terminal cost
@@ -312,7 +312,7 @@ class TestValueIteration:
                            atoms=((0.0, 0.25), (1.0, 0.75)), c_bar=1.0)
         grid = line_grid()
         for s in (0.0, 0.3, 1.0):
-            vtable, _ = value_iteration(s, model, grid)
+            values, _ = value_iteration(s, model, grid)
             for i, x in enumerate(grid.x_axes[0]):
                 best = np.inf
                 for u in grid.action_axis:
@@ -322,21 +322,21 @@ class TestValueIteration:
                         c = 0.5 * x
                         q += p * max(max(0.5 * xn, c) - s, 0.0)
                     best = min(best, q)
-                assert_allclose(vtable.values[0][i, 0], best, atol=1e-12)
+                assert_allclose(values[0][i, 0], best, atol=1e-12)
 
     def test_s_at_cbar_is_identically_zero(self):
         model = line_model()
-        vtable, _ = value_iteration(1.0, model, line_grid())
-        assert np.all(vtable.values == 0.0)
+        values, _ = value_iteration(1.0, model, line_grid())
+        assert np.all(values == 0.0)
 
     def test_bounds_and_z_monotonicity(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid.uniform(model, (7, 7), 5, 3, 3)
         for s in (0.0, 1.0, 2.0):
-            vtable, _ = value_iteration(s, model, grid)
-            assert vtable.values.min() >= 0.0
-            assert vtable.values.max() <= max(model.c_bar - s, 0.0) + 1e-12
-            assert np.all(np.diff(vtable.values, axis=2) >= -1e-12)
+            values, _ = value_iteration(s, model, grid)
+            assert values.min() >= 0.0
+            assert values.max() <= max(model.c_bar - s, 0.0) + 1e-12
+            assert np.all(np.diff(values, axis=2) >= -1e-12)
 
     def test_s_monotone_and_one_lipschitz(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
@@ -344,12 +344,12 @@ class TestValueIteration:
         trans = precompute_transitions(model, grid)
         prev = None
         for s in grid.s_axis:
-            vtable, _ = value_iteration(float(s), model, grid, trans)
+            values, _ = value_iteration(float(s), model, grid, trans)
             if prev is not None:
-                drop = prev - vtable.values
+                drop = prev - values
                 assert drop.min() >= -1e-12
                 assert drop.max() <= 0.5 + 1e-12  # s spacing
-            prev = vtable.values
+            prev = values
 
     @pytest.mark.parametrize("law", [smoke_disturbance(), wet_or_smoke_rows],
                              ids=["smoke", "state-dependent"])
@@ -360,17 +360,17 @@ class TestValueIteration:
         model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
-        vtable, ptable = value_iteration(0.5, model, grid, trans)
+        values, action_idx = value_iteration(0.5, model, grid, trans)
         nodes = grid.x_nodes()
-        J_next = vtable.values[1]
+        J_next = values[1]
         bound = kernel_bound(J_next, trans.probs, trans.corner_wt)
         below = 0
         for flat in range(0, grid.n_xnodes, 3):
             for jz in range(grid.z_axis.size):
                 z = float(grid.z_axis[jz])
                 value, action = bellman_min(nodes[flat], z, 0.5, J_next, model, grid)
-                got = vtable.values[0][flat, jz]
-                got_action = grid.action_axis[ptable.action_idx[0, flat, jz]]
+                got = values[0][flat, jz]
+                got_action = grid.action_axis[action_idx[0, flat, jz]]
                 if z >= trans.cost[flat].max():
                     assert got == value
                     assert got_action == action
@@ -385,13 +385,13 @@ class TestValueIteration:
     def test_interpolation_consistency_at_nodes(self):
         model = line_model()
         grid = line_grid()
-        vtable, _ = value_iteration(0.25, model, grid)
+        values, _ = value_iteration(0.25, model, grid)
         for t in range(model.horizon + 1):
             for i, x in enumerate(grid.x_axes[0]):
                 for jz, z in enumerate(grid.z_axis):
-                    got = interp_xz(grid, vtable.values[t],
+                    got = interp_xz(grid, values[t],
                                     np.array([x]), float(z))
-                    assert got == vtable.values[t][i, jz]
+                    assert got == values[t][i, jz]
 
 
 # Weights and probabilities that are often exactly zero (padded atoms,
@@ -461,8 +461,8 @@ class TestSweepKernel:
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
-        vtable, _ = value_iteration(0.5, model, grid, trans)
-        args = (vtable.values[1], grid.z_axis, trans.cost, trans.probs,
+        values, _ = value_iteration(0.5, model, grid, trans)
+        args = (values[1], grid.z_axis, trans.cost, trans.probs,
                 trans.corner_idx, trans.corner_wt, trans.cz_idx, trans.cz_frac)
         assert_matches_reference(args, *sweep_kernel(*args))
 
@@ -489,10 +489,10 @@ class TestSweepKernel:
         model = make_stormwater_model()
         grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
-        vtable, _ = value_iteration(0.5, model, grid, trans)
+        values, _ = value_iteration(0.5, model, grid, trans)
         tables = (trans.cost, trans.probs, trans.corner_idx, trans.corner_wt,
                   trans.cz_idx, trans.cz_frac)
-        for J_next in vtable.values[:3]:
+        for J_next in values[:3]:
             built = sweep_kernel(J_next, grid.z_axis, *tables)
             copied = sweep_kernel(J_next, grid.z_axis,
                                   *map(np.ascontiguousarray, tables))
@@ -504,9 +504,9 @@ class TestTableSerialization:
     def test_csv_layout(self, tmp_path):
         model = line_model(horizon=2)
         grid = line_grid()
-        vtable, ptable = value_iteration(0.0, model, grid)
         path = tmp_path / "tables.csv"
-        write_tables_csv(path, vtable, ptable, grid, config_hash="deadbeef")
+        write_tables_csv(path, 0.0, *value_iteration(0.0, model, grid), grid,
+                         config_hash="deadbeef")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config=deadbeef"
         assert lines[2] == "t,i0,iz,value,action"

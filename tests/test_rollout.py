@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, estimate_risk,
-                      generate_corpus, g_k, make_stormwater_model, risk_value,
-                      rollout, smoke_disturbance, sweep, synthesize_policy,
-                      value_iteration)
+from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, default_disturbance,
+                      estimate_risk, generate_corpus, g_k, make_stormwater_model,
+                      risk_value, rollout, smoke_disturbance, sweep,
+                      synthesize_policy, value_iteration)
 from cvarsafe.models import design_params
 from cvarsafe.rollout import PrecommitmentPolicy
 from test_dp import wet_or_smoke_rows
@@ -42,9 +42,10 @@ class TestSynthesizePolicy:
         policy = synthesize_policy(x0, alpha, ds, model, grid)
         node = grid.nearest_x_index(x0)
         assert policy.s_star == surface.s_star[node]
-        assert policy.value_table.s == policy.s_star
-        assert policy.policy_table.s == policy.s_star
-        assert policy.dp_value == float(policy.value_table.values[0][node, 0])
+        values, action_idx = value_iteration(policy.s_star, model, grid)
+        assert np.array_equal(policy.values, values)
+        assert np.array_equal(policy.action_idx, action_idx)
+        assert policy.dp_value == float(values[0][node, 0])
 
     def test_out_of_bounds_x0(self):
         model, grid, ds = small_setup()
@@ -142,6 +143,28 @@ class TestBlockInvariance:
         assert_same_batch(rollout(policy, 50, seed=8, model=model), want)
 
 
+class TestSampleDisturbances:
+    @pytest.mark.parametrize("law", [smoke_disturbance(), default_disturbance()],
+                             ids=["two-atoms", "nine-atoms"])
+    def test_static_and_callable_laws_draw_the_same_shocks(self, law):
+        # A draw equal to a CDF value takes the next atom, as searchsorted's
+        # side="right" does, capped at the last atom.
+        static, _, _ = small_setup(law)
+        rows = lambda x, u: tuple(np.broadcast_to(a, np.shape(u) + a.shape)
+                                  for a in (law.values, law.probs))
+        law_of_rows = dataclasses.replace(static, disturbance=rows)
+        cdf = np.cumsum(law.probs)
+        draws = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0],
+                                np.random.default_rng(3).random(1000)])
+        x = np.tile([2.5, 3.0], (draws.size, 1))
+        u = np.zeros(draws.size)
+        want = law.values[np.minimum(np.searchsorted(cdf, draws, side="right"),
+                                     len(law) - 1)]
+        for model in (static, law_of_rows):
+            got = rollout_mod._sample_disturbances(model, x, u, draws)
+            assert np.array_equal(got, want)
+
+
 class TestKeep:
     """``keep=k`` records the leading k trajectories of the full batch and
     every rollout's y_prime."""
@@ -234,8 +257,8 @@ class TestMonteCarloConsistency:
         gaps = []
         for n in (13, 25, 49):
             grid = AugmentedGrid.uniform(model, (n, n), 11, 11, 2)
-            vtable, ptable = value_iteration(s, model, grid)
-            policy = PrecommitmentPolicy(0.5, x0, s, vtable, ptable, grid)
+            policy = PrecommitmentPolicy(0.5, x0, s, *value_iteration(s, model, grid),
+                                         grid)
             batch = rollout(policy, 200_000, seed=0, model=model, keep=0)
             stats = estimate_risk(batch, 0.5, model.g_lower, s)
             excess, stderr = stats["excess_hat"], stats["excess_stderr"]

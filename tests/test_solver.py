@@ -100,15 +100,15 @@ class TestSafeSets:
         _, grid, ds = coarse_sweep()
         surface = risk_value(ds, 0.5)
         everything = extract_safe_set(surface, 2.0)   # r = g_upper
-        assert everything.cell_count == grid.n_xnodes
+        assert everything.sum() == grid.n_xnodes
         nothing = extract_safe_set(surface, float(surface.w_star.min()) - 1e-9)
-        assert nothing.cell_count == 0
+        assert nothing.sum() == 0
 
     def test_alpha_and_r_nesting(self):
         _, _, ds = coarse_sweep()
         alphas = (0.99, 0.05, 0.005)
         rs = (0.2, 1.0, 1.8)
-        masks = {(a, r): extract_safe_set(risk_value(ds, a), r).mask
+        masks = {(a, r): extract_safe_set(risk_value(ds, a), r)
                  for a in alphas for r in rs}
         for r in rs:
             for hi, lo in zip(alphas, alphas[1:]):  # smaller alpha: subset
@@ -120,4 +120,4 @@ class TestSafeSets:
     def test_intermediate_threshold_is_proper_subset(self):
         _, grid, ds = coarse_sweep()
         mask = extract_safe_set(risk_value(ds, 0.99), 1.0)
-        assert 0 < mask.cell_count < grid.n_xnodes
+        assert 0 < mask.sum() < grid.n_xnodes
