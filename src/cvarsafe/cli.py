@@ -171,8 +171,7 @@ def cmd_oracle(args) -> int:
         try:
             instances = load_corpus(args.corpus)
         except ValueError as exc:  # json.JSONDecodeError included
-            print(f"error: corpus parse failed: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{args.corpus}: corpus parse failed: {exc}") from exc
     elif args.count is not None:
         instances = generate_corpus(args.seed, args.count)
     else:

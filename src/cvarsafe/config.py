@@ -81,7 +81,7 @@ def load_config(path=None) -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ConfigError(f"{path}: config root must be a JSON object")
     return resolve_config(raw)
 
 

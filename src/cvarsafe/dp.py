@@ -7,8 +7,9 @@ Solves the backward recursion
 
 on a rectilinear (x, z) grid, interpolating J_{t+1} multilinearly between
 nodes. Transition geometry (interpolation corners, stage costs, disturbance
-atoms) does not depend on s, so it is precomputed once and shared across a
-whole dual-parameter sweep.
+atoms) does not depend on s, so it is precomputed once, merged into one
+weight per distinct next node of each (x, u), and shared across a whole
+dual-parameter sweep.
 
 One Bellman step over every (state node, running-max node) pair is the hot
 loop of the solver; ``sweep_kernel`` runs it in numpy in the tables' own x-major
@@ -31,25 +32,70 @@ __all__ = [
 ]
 
 
+# Actions whose backups lie within this of the minimum tie; the lowest index wins.
+TIE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class TransitionTables:
     """Precomputed, s-independent transition geometry for one (model, grid).
 
-    ``probs``, ``corner_idx`` and ``corner_wt`` are stored atom- and corner-major
-    behind these shapes: ``sweep_kernel`` runs at stride 1 only while every
-    ``[:, :, iw]`` and ``[:, :, iw, c]`` slice is C-contiguous."""
+    The transition operator is merged: row ``(x, u)`` has one slot per
+    distinct next node among its (atom w, corner c) entries, weighted by the
+    sum of their ``p_w * wt_c`` in (w, c) order. Entries of weight 0 get no
+    slot. Each row is padded to ``k`` slots, the most any row needs, by
+    copies of its first node with weight 0. The slots form one group of
+    probability 1 in the kernel's (group, slot) shapes, so ``sweep_kernel``
+    gathers ``J_next`` once per slot; they are stored slot-major behind
+    those shapes, so every ``[:, :, 0, j]`` slice is C-contiguous.
+
+    Against the unmerged (atom, corner) sum, a merged backup differs only in
+    rounding: per action and step by at most
+    ``(gamma(n_w * n_c + k + 3) + gamma(n_w + n_c + 3)) * max|J_next|``,
+    ``gamma`` as in ``sweep_kernel``, with ``n_c = 2**state_dim`` corners."""
 
     cost: np.ndarray        # (n_x, n_u)
-    probs: np.ndarray       # (n_x, n_u, n_w), zero-padded
-    corner_idx: np.ndarray  # (n_x, n_u, n_w, n_corners), int64
-    corner_wt: np.ndarray   # (n_x, n_u, n_w, n_corners)
+    probs: np.ndarray       # (n_x, n_u, 1), ones
+    corner_idx: np.ndarray  # (n_x, n_u, 1, k), int64: next node of each slot
+    corner_wt: np.ndarray   # (n_x, n_u, 1, k): merged weight of each slot
     cz_idx: np.ndarray      # (n_x, n_u), int64
     cz_frac: np.ndarray     # (n_x, n_u)
     terminal: np.ndarray    # (n_x,)
 
 
+def merge_entries(entries, shape):
+    """Merge ``(node, weight)`` entries, arrays of ``shape`` holding one value
+    per row, into per-row slots: an entry adds its weight to the row's slot
+    of the same node, or opens the row's next slot, unless its weight is 0.
+    Returns ``(corner_idx, corner_wt)`` of shape ``shape + (1, k)``, stored
+    slot-major, each row padded to ``k`` by its first node with weight 0
+    (node 0 for a row without entries)."""
+    cols, wts = [], []  # one (node, summed weight) array pair per slot; -1: empty
+    for node, wt in entries:
+        pending = wt > 0.0
+        j = 0
+        while pending.any():
+            if j == len(cols):
+                cols.append(np.full(shape, -1, np.int64))
+                wts.append(np.zeros(shape))
+            # A row's filled slots come first, so it meets a slot holding its
+            # node before its first empty one.
+            hit = pending & ((cols[j] == node) | (cols[j] < 0))
+            np.copyto(cols[j], node, where=hit)
+            np.add(wts[j], wt, out=wts[j], where=hit)
+            pending &= ~hit
+            j += 1
+    corner_idx = np.empty((1, len(cols)) + shape, np.int64)
+    corner_wt = np.empty((1, len(cols)) + shape)
+    for j, (col, wt) in enumerate(zip(cols, wts)):
+        np.copyto(corner_idx[0, j], np.where(col < 0, np.maximum(cols[0], 0), col))
+        corner_wt[0, j] = wt
+    return corner_idx.transpose(2, 3, 0, 1), corner_wt.transpose(2, 3, 0, 1)
+
+
 def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> TransitionTables:
-    """Evaluate dynamics, costs, and interpolation corners on the grid.
+    """Evaluate dynamics, costs, and interpolation corners on the grid, and
+    merge the (atom, corner) entries of each (x, u) by next node.
 
     Raises if a stage or terminal cost leaves [0, c_bar] or a next state
     leaves the grid box after the model's own clipping, NaN included: each
@@ -84,23 +130,26 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
         located.append(locate_batch(ax, coord))
     idxs, fracs = zip(*located)
 
-    n_corners = 1 << dim
-    strides = grid._x_strides
-    corner_idx = np.zeros((n_w, n_corners, n_x, n_u), np.int64).transpose(2, 3, 0, 1)
-    corner_wt = np.ones((n_w, n_corners, n_x, n_u)).transpose(2, 3, 0, 1)
-    for c in range(n_corners):
-        for d in range(dim):  # bit d of c set: the upper node along d
-            up = c >> d & 1
-            corner_wt[..., c] *= fracs[d] if up else 1.0 - fracs[d]
-            node = np.minimum(idxs[d] + up, grid.x_axes[d].size - 1)
-            corner_idx[..., c] += node * strides[d]
+    def entries():
+        """(next node, p_w * wt_c) of each (atom, corner), one atom at a time."""
+        for iw in range(n_w):
+            for c in range(1 << dim):
+                node = np.zeros((n_x, n_u), np.int64)
+                wt = np.ones((n_x, n_u))
+                for d, ax in enumerate(grid.x_axes):  # bit d of c set: upper node
+                    up = c >> d & 1
+                    frac = fracs[d][:, :, iw]
+                    wt *= frac if up else 1.0 - frac
+                    upper = np.minimum(idxs[d][:, :, iw] + up, ax.size - 1)
+                    node += upper * grid._x_strides[d]
+                yield node, probs[:, :, iw] * wt
 
+    corner_idx, corner_wt = merge_entries(entries(), (n_x, n_u))
     cz_idx, cz_frac = locate_batch(grid.z_axis, cost)
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
     if not ((terminal >= 0.0) & (terminal <= model.c_bar)).all():
         raise ValueError("terminal costs must lie in [0, c_bar]")
-    probs = np.moveaxis(probs, 2, 0).copy().transpose(1, 2, 0)
-    return TransitionTables(cost, probs, corner_idx, corner_wt,
+    return TransitionTables(cost, np.ones((n_x, n_u, 1)), corner_idx, corner_wt,
                             cz_idx.astype(np.int64), cz_frac, terminal)
 
 
@@ -112,18 +161,22 @@ def backend() -> str:
 def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
     """One backward Bellman step over every (state node, z node) pair.
 
-    Inputs are ``J_next`` (n_x, n_z), the z axis and the fields of
-    ``TransitionTables`` (shapes listed there). One gather of ``J_next``
-    rows per (atom, corner) builds the x-major (n_x, n_u, n_z) expectation
-    ``q`` of ``J_next`` at z' = z, the backup wherever z >= c(x, u). Below
-    c(x, u) every z continues from z' = c(x, u), and the expectation is
-    linear in ``J_next``, so the backup there is ``q`` interpolated at c.
-    Entries at or above c are bit-identical to a scalar loop that
-    interpolates inside every (atom, corner) term; the others differ from
-    it by at most ``2 * gamma(n_w + n_c + 3) * max|J_next|`` per action,
-    with ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit total
-    weight. Returns the minimized values and the argmin action indices, both
-    (n_x, n_z); ties go to the lowest action index.
+    Inputs are ``J_next`` (n_x, n_z), the z axis, and transition tables
+    shaped like the fields of ``TransitionTables``: ``probs`` (n_x, n_u, n_g)
+    weights groups of ``n_s`` (node, weight) slots in ``corner_idx`` and
+    ``corner_wt`` (n_x, n_u, n_g, n_s). The merged operator is one group;
+    the unmerged one has a group per atom and a slot per corner. One gather
+    of ``J_next`` rows per (group, slot) builds the x-major (n_x, n_u, n_z)
+    expectation ``q`` of ``J_next`` at z' = z, the backup wherever
+    z >= c(x, u). Below c(x, u) every z continues from z' = c(x, u), and the
+    expectation is linear in ``J_next``, so the backup there is ``q``
+    interpolated at c. Entries at or above c are bit-identical to a scalar
+    loop that interpolates inside every (group, slot) term; the others
+    differ from it by at most ``2 * gamma(n_g + n_s + 3) * max|J_next|`` per
+    action, with ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit
+    total weight. Returns the minimized values and the action indices, both
+    (n_x, n_z): the lowest index whose backup is within ``TIE_TOL`` of the
+    minimum.
     """
     n_z = J_next.shape[1]
     q = np.zeros(cost.shape + (n_z,))
@@ -143,7 +196,7 @@ def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_
     np.copyto(q, (1.0 - cz_frac[..., None]) * lo + cz_frac[..., None] * hi,
               where=z_axis < cost[..., None])
     best = q.min(axis=1)  # np.argmin along axis 1 would copy q
-    return best, np.argmax(q == best[:, None], axis=1)  # lowest action at the min
+    return best, np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)
 
 
 def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,

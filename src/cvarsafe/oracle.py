@@ -375,18 +375,19 @@ def save_corpus(path, instances):
 
 def load_corpus(path):
     """Parse a corpus file; malformed JSON raises with line/column info, and
-    any other refusal is a ValueError naming ``instances`` or ``instances[i]``."""
+    any other refusal is a ValueError naming ``instances`` or ``instances[i]``
+    (the caller names the file)."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "instances" not in payload:
-        raise ValueError(f"{path}: not a corpus file (missing 'instances')")
+        raise ValueError("not a corpus file (missing 'instances')")
     records = payload["instances"]
     if not isinstance(records, list):
-        raise ValueError(f"{path}: instances: expected a list, got {records!r}")
+        raise ValueError(f"instances: expected a list, got {records!r}")
     instances = []
     for i, d in enumerate(records):
         try:
             instances.append(TinyInstance.from_dict(d))
         except ValueError as exc:
-            raise ValueError(f"{path}: instances[{i}]: {exc}") from exc
+            raise ValueError(f"instances[{i}]: {exc}") from exc
     return instances

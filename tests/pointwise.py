@@ -1,9 +1,11 @@
 """Independent reference computations, used only by the tests.
 
-The library computes backups with ``dp.sweep_kernel`` on precomputed
+The library computes backups with ``dp.sweep_kernel`` on merged
 transition tables and brackets values with ``grids.locate_batch``. The
 functions here do the same arithmetic one point at a time and share no
 code with those two, so tests can compare the vectorized path against them.
+``unmerged_transitions`` builds the tables before the merge, one entry per
+(atom, corner); only the tie rule's tolerance ``dp.TIE_TOL`` is shared.
 
 ``nearest_on_axis`` is the direct nearest-node rule (a ``searchsorted``
 bracket, then the nearer end) that the grid's decision-point lookups must
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from cvarsafe import AugmentedGrid, SystemModel
+from cvarsafe.dp import TIE_TOL
 
 
 def locate(axis: np.ndarray, v: float):
@@ -97,16 +100,39 @@ def backup_q(x, z, u, s, J_next, model: SystemModel, grid: AugmentedGrid) -> flo
 def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
     """Minimize ``backup_q`` over the action axis.
 
-    Returns (value, action); ties resolve to the smallest grid action.
+    Returns (value, action): the minimum and the smallest grid action whose
+    backup is within ``TIE_TOL`` of it.
     """
-    best = np.inf
-    best_u = grid.action_axis[0]
-    for u in grid.action_axis:
-        q = backup_q(x, z, float(u), s, J_next, model, grid)
-        if q < best:
-            best = q
-            best_u = float(u)
-    return best, best_u
+    qs = [backup_q(x, z, float(u), s, J_next, model, grid) for u in grid.action_axis]
+    best = min(qs)
+    return best, float(next(u for u, q in zip(grid.action_axis, qs)
+                            if q <= best + TIE_TOL))
+
+
+def unmerged_transitions(model: SystemModel, grid: AugmentedGrid):
+    """``(probs, corner_idx, corner_wt)`` of shapes (n_x, n_u, n_w) and
+    (n_x, n_u, n_w, 2**dim): every (atom, corner) entry of every (x, u)
+    before the merge, each next state bracketed by ``locate`` one
+    coordinate at a time and each corner weight multiplied up in dimension
+    order."""
+    nodes = grid.x_nodes()
+    actions = grid.action_axis
+    n_x, n_u, dim = nodes.shape[0], actions.size, grid.state_dim
+    w_vals, probs = model.disturbance_rows(nodes[:, None, :], actions[None, :])
+    n_w = w_vals.shape[2]
+    nxt = np.broadcast_to(
+        model.dynamics(nodes[:, None, None, :], actions[None, :, None], w_vals),
+        (n_x, n_u, n_w, dim))
+    corner_idx = np.zeros((n_x, n_u, n_w, 1 << dim), np.int64)
+    corner_wt = np.ones((n_x, n_u, n_w, 1 << dim))
+    for d, ax in enumerate(grid.x_axes):
+        bracket = np.vectorize(lambda v: locate(ax, v), otypes=[np.int64, np.float64])
+        idx, frac = bracket(nxt[..., d])
+        for c in range(1 << dim):
+            up = c >> d & 1
+            corner_wt[..., c] *= frac if up else 1.0 - frac
+            corner_idx[..., c] += np.minimum(idx + up, ax.size - 1) * grid._x_strides[d]
+    return np.array(probs), corner_idx, corner_wt
 
 
 def expectation_dp(model: SystemModel, grid: AugmentedGrid) -> np.ndarray:

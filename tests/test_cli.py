@@ -491,10 +491,14 @@ class TestOracleCommand:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["checked"] >= 50
 
-    def test_corrupted_corpus(self, tmp_path):
+    def test_corrupted_corpus(self, tmp_path, capsys):
+        # A config error: exit 2 naming the file, and no timing line.
         bad = tmp_path / "bad.json"
         bad.write_text('{"instances": [,]}')
         assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: corpus parse failed: "), err
+        assert "finished in" not in err
 
     def test_corpus_row_off_by_1e_10_refused_at_parse(self, tmp_path, capsys):
         # Rows are checked at the tolerance the oracle's Pmfs use, so a row
@@ -570,7 +574,7 @@ class TestOracleCommand:
         bad.write_text(json.dumps({"schema": 1, "instances": instances}))
         assert cli.main(["oracle", "--corpus", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "corpus parse failed" in err and f"{bad}: {where}: " in err
+        assert f"config error: {bad}: corpus parse failed: {where}: " in err
 
     def test_empty_corpus_warns_and_passes(self, tmp_path):
         empty = tmp_path / "empty.json"
@@ -639,6 +643,14 @@ class TestConfigErrors:
         assert cli.main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {cfg}: " in capsys.readouterr().err
+
+    def test_config_root_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}: config root must be a JSON object\n"
 
     @pytest.mark.parametrize("grid", [{"z": "abc"}, {"s": 2.5},
                                       {"x": [7, None]}])

@@ -11,13 +11,14 @@ from numpy.testing import assert_allclose
 from cvarsafe import (AugmentedGrid, Pmf, SystemModel, make_stormwater_model,
                       precompute_transitions, smoke_disturbance, value_iteration)
 from cvarsafe.artifacts import write_tables_csv
-from cvarsafe.dp import sweep_kernel
+from cvarsafe.dp import TIE_TOL, merge_entries, sweep_kernel
 from cvarsafe.grids import locate_batch
-from pointwise import backup_q, bellman_min, interp_xz
+from pointwise import backup_q, bellman_min, interp_xz, unmerged_transitions
 
 
 def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
-    """Reference Bellman step: one scalar loop per (x, z, u, atom, corner)."""
+    """Reference Bellman step: one scalar loop per (x, z, u, atom, corner);
+    the action is the lowest index whose q is within TIE_TOL of the minimum."""
     n_x, n_z = J_next.shape
     n_u = cost.shape[1]
     n_w = probs.shape[2]
@@ -26,8 +27,7 @@ def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_f
     U_out = np.empty((n_x, n_z), dtype=np.int64)
     for ix in range(n_x):
         for jz in range(n_z):
-            best = np.inf
-            best_u = 0
+            qs = []
             for iu in range(n_u):
                 if z_axis[jz] >= cost[ix, iu]:
                     k = jz
@@ -51,11 +51,10 @@ def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_f
                         node = corner_idx[ix, iu, iw, c]
                         v += wt * ((1.0 - f) * J_next[node, k] + f * J_next[node, kp])
                     q += p * v
-                if q < best:
-                    best = q
-                    best_u = iu
-            J_out[ix, jz] = best
-            U_out[ix, jz] = best_u
+                qs.append(q)
+            J_out[ix, jz] = min(qs)
+            U_out[ix, jz] = next(iu for iu, q in enumerate(qs)
+                                 if q <= J_out[ix, jz] + TIE_TOL)
     return J_out, U_out
 
 
@@ -65,7 +64,17 @@ def single_action(args, iu):
     return (J_next, z_axis, *(a[:, iu:iu + 1] for a in tables))
 
 
-def kernel_bound(J_next, probs, corner_wt):
+def merge(probs, corner_idx, corner_wt):
+    """``(probs, corner_idx, corner_wt)`` of (atom, corner) tables merged by
+    next node, as ``precompute_transitions`` merges them."""
+    n_w, n_c = corner_wt.shape[2:]
+    entries = ((corner_idx[:, :, iw, c], probs[:, :, iw] * corner_wt[:, :, iw, c])
+               for iw in range(n_w) for c in range(n_c))
+    rows = probs.shape[:2]
+    return (np.ones(rows + (1,)), *merge_entries(entries, rows))
+
+
+def kernel_bound(J_next, probs, corner_wt, slots=None):
     """How far, per action, ``sweep_kernel`` may be from ``sweep_loops``.
 
     Below the stage cost the loop sums, with g = 1 - f computed once,
@@ -80,13 +89,30 @@ def kernel_bound(J_next, probs, corner_wt):
     product that underflows errs by up to 2**-1074 instead, and neither path
     has more than n_w (3 n_c + 2) + 2 products, each scaled afterwards only
     by factors in [0, 1]. The bound is twice the sum: one per path.
+
+    With ``slots``, the kernel runs on these (atom, corner) tables merged
+    into that many slots per row (``merge``). A term then rounds once in
+    ``p_w * wt_c``, at most n_w n_c - 1 times in its slot's sum, once in
+    the slot's product with J, at most slots - 1 times in the sum over
+    slots and twice below the stage cost: gamma(n_w n_c + slots + 3) with
+    the (g + f) factor. Its products are n_w n_c weights, whose underflow
+    is scaled by J afterwards, and slots + 2 others. The bound is the
+    kernel path's sum plus the loop path's.
     """
     n_w, n_c = corner_wt.shape[2:]
     u = np.finfo(np.float64).eps / 2
-    k = n_w + n_c + 3
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
     mass = (probs[..., None] * corner_wt).sum(axis=(2, 3)).max()
-    return 2.0 * (k * u / (1.0 - k * u) * mass * np.abs(J_next).max()
-                  + (n_w * (3 * n_c + 2) + 2) * 2.0 ** -1074)
+    top = np.abs(J_next).max()
+    loop = (gamma(n_w + n_c + 3) * mass * top
+            + (n_w * (3 * n_c + 2) + 2) * 2.0 ** -1074)
+    if slots is None:
+        return 2.0 * loop
+    return loop + (gamma(n_w * n_c + slots + 3) * mass * top
+                   + (n_w * n_c * max(top, 1.0) + slots + 2) * 2.0 ** -1074)
 
 
 def assert_matches_reference(args, values, action_idx, exact=False):
@@ -96,8 +122,9 @@ def assert_matches_reference(args, values, action_idx, exact=False):
     loop's bit for bit where z >= c(x, u) and lies within ``kernel_bound``
     elsewhere. Where z >= c(x, u) for every u, values and argmins are
     bit-identical. Elsewhere the minima differ by at most the bound, and the
-    kernel's action is the loop's argmin or has a loop q within twice the
-    bound of the loop's minimum (each side's minimum is within the bound of
+    kernel's action is the loop's or has a loop q within TIE_TOL plus twice
+    the bound of the loop's minimum (the kernel's q at its action is within
+    TIE_TOL of its minimum, and each side's minimum is within the bound of
     the other's q at its argmin). With ``exact`` (dyadic inputs, where every
     summation order is exact) everything is bit-identical.
     """
@@ -114,11 +141,38 @@ def assert_matches_reference(args, values, action_idx, exact=False):
     assert np.array_equal(values[every], ref_values[every])
     assert np.array_equal(action_idx[every], ref_idx[every])
     assert np.all(np.abs(values - ref_values) <= bound)
-    chosen = np.take_along_axis(ref_q, action_idx[..., None], axis=2)[..., 0]
-    assert np.all((action_idx == ref_idx) | (chosen <= ref_values + 2.0 * bound))
+    assert_near_argmin(ref_q, ref_values, ref_idx, action_idx, bound)
     if exact:
         assert np.array_equal(values, ref_values)
         assert np.array_equal(action_idx, ref_idx)
+
+
+def assert_near_argmin(ref_q, ref_values, ref_idx, action_idx, bound):
+    """Each action is the reference's or has a reference q (n_x, n_z, n_u)
+    within TIE_TOL plus twice ``bound`` of the reference minimum."""
+    chosen = np.take_along_axis(ref_q, action_idx[..., None], axis=2)[..., 0]
+    assert np.all((action_idx == ref_idx)
+                  | (chosen <= ref_values + TIE_TOL + 2.0 * bound))
+
+
+def assert_merged_matches_reference(args, exact=False):
+    """``sweep_kernel`` on the merged ``args`` against ``sweep_loops`` on
+    ``args`` themselves: values within ``kernel_bound`` for the merged slot
+    count, actions as in ``assert_matches_reference``, and with ``exact``
+    everything bit-identical."""
+    merged_args = (*args[:3], *merge(*args[3:6]), *args[6:])
+    values, action_idx = sweep_kernel(*merged_args)
+    J_next, _, cost, probs, _, corner_wt = args[:6]
+    bound = kernel_bound(J_next, probs, corner_wt, merged_args[4].shape[3])
+    ref_values, ref_idx = sweep_loops(*args)
+    assert np.all(np.abs(values - ref_values) <= bound)
+    one = [single_action(args, iu) for iu in range(cost.shape[1])]
+    ref_q = np.stack([sweep_loops(*a)[0] for a in one], axis=2)
+    assert_near_argmin(ref_q, ref_values, ref_idx, action_idx, bound)
+    if exact:
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(action_idx, ref_idx)
+    return action_idx
 
 
 WET = Pmf([10.0, 14.0, 18.0], [0.2, 0.5, 0.3])
@@ -161,6 +215,10 @@ def line_grid():
                          z_axis=np.array([0.0, 0.5, 1.0]),
                          action_axis=np.array([0.0, 1.0]),
                          s_axis=np.array([0.0, 0.5, 1.0]))
+
+
+LAWS = [None, smoke_disturbance(), wet_or_smoke_rows]
+LAW_IDS = ["default", "smoke", "state-dependent"]
 
 
 class TestTerminalValue:
@@ -354,16 +412,18 @@ class TestValueIteration:
     @pytest.mark.parametrize("law", [smoke_disturbance(), wet_or_smoke_rows],
                              ids=["smoke", "state-dependent"])
     def test_kernel_matches_pointwise_backup(self, law):
-        # The vectorized sweep against the scalar interp path: bit-for-bit
-        # where z >= c(x, u) for every u, else within kernel_bound (see
-        # assert_matches_reference).
+        # The merged sweep against the scalar interp path over every (atom,
+        # corner): values within kernel_bound for the merged slot count; the
+        # same action where z >= c(x, u) for every u, else a near-argmin
+        # (see assert_matches_reference).
         model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
         values, action_idx = value_iteration(0.5, model, grid, trans)
         nodes = grid.x_nodes()
         J_next = values[1]
-        bound = kernel_bound(J_next, trans.probs, trans.corner_wt)
+        probs, _, corner_wt = unmerged_transitions(model, grid)
+        bound = kernel_bound(J_next, probs, corner_wt, trans.corner_idx.shape[3])
         below = 0
         for flat in range(0, grid.n_xnodes, 3):
             for jz in range(grid.z_axis.size):
@@ -371,15 +431,15 @@ class TestValueIteration:
                 value, action = bellman_min(nodes[flat], z, 0.5, J_next, model, grid)
                 got = values[0][flat, jz]
                 got_action = grid.action_axis[action_idx[0, flat, jz]]
+                assert abs(got - value) <= bound
                 if z >= trans.cost[flat].max():
-                    assert got == value
                     assert got_action == action
                     continue
                 below += 1
-                assert abs(got - value) <= bound
                 chosen = backup_q(nodes[flat], z, float(got_action), 0.5,
                                   J_next, model, grid)
-                assert got_action == action or chosen <= value + 2.0 * bound
+                assert (got_action == action
+                        or chosen <= value + TIE_TOL + 2.0 * bound)
         assert below > 0
 
     def test_interpolation_consistency_at_nodes(self):
@@ -457,6 +517,32 @@ class TestSweepKernel:
         if tie:
             assert np.all(action_idx == 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs())
+    def test_merged_operator_matches_scalar_reference(self, case):
+        # The kernel on the merged tables against the loops on the (atom,
+        # corner) tables they merge: exact on dyadic inputs and on ties,
+        # within kernel_bound elsewhere.
+        tie, dyadic, args = case
+        action_idx = assert_merged_matches_reference(args, exact=dyadic)
+        if tie:
+            assert np.all(action_idx == 0)
+
+    @pytest.mark.parametrize("gap, lowest_wins", [(1e-14, True), (1e-10, False)])
+    def test_tie_rule(self, gap, lowest_wins):
+        # Two actions whose backups differ by less than TIE_TOL tie and the
+        # lower index wins; a larger gap goes to the smaller backup.
+        # Action 0 moves to node 0, action 1 to node 1, from either node.
+        J_next = np.array([[1.0], [1.0 - gap]])
+        cost = np.zeros((2, 2))
+        corner_idx = np.array([[0, 1], [0, 1]]).reshape(2, 2, 1, 1)
+        args = (J_next, np.zeros(1), cost, np.ones((2, 2, 1)), corner_idx,
+                np.ones((2, 2, 1, 1)), np.zeros((2, 2), np.int64), cost)
+        values, action_idx = sweep_kernel(*args)
+        assert np.all(values == 1.0 - gap)
+        assert np.all(action_idx == (0 if lowest_wins else 1))
+        assert np.array_equal(sweep_loops(*args)[1], action_idx)
+
     def test_matches_scalar_reference_on_stormwater_grid(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
@@ -466,22 +552,68 @@ class TestSweepKernel:
                 trans.corner_idx, trans.corner_wt, trans.cz_idx, trans.cz_frac)
         assert_matches_reference(args, *sweep_kernel(*args))
 
-    @pytest.mark.parametrize("law", ["default", "smoke"])
-    def test_atom_and_corner_slices_are_contiguous(self, law):
-        # The storage order the kernel's speed depends on, behind the
-        # documented (n_x, n_u, n_w[, n_c]) shapes.
-        dist = smoke_disturbance() if law == "smoke" else None
-        model = make_stormwater_model(disturbance=dist)
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_merged_operator_layout(self, law):
+        # One group of k contiguous slots; per row, nonnegative weights
+        # summing to 1 within rounding on distinct nodes, and no more slots
+        # than (atom, corner) entries. The laws' probabilities sum to 1 in
+        # floating point, each corner's (1 - f) + f is 1 within u per
+        # dimension, and each product and sum rounds once.
+        model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (5, 4), 3, 3, 3)
         trans = precompute_transitions(model, grid)
-        n_w = 2 if law == "smoke" else 9
-        assert trans.probs.shape == (20, 3, n_w)
-        assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, n_w, 4)
-        for iw in range(n_w):
-            assert trans.probs[:, :, iw].flags.c_contiguous
-            for c in range(4):
-                assert trans.corner_idx[:, :, iw, c].flags.c_contiguous
-                assert trans.corner_wt[:, :, iw, c].flags.c_contiguous
+        n_w = unmerged_transitions(model, grid)[0].shape[2]
+        k = trans.corner_idx.shape[3]
+        assert k <= n_w * 4
+        assert np.array_equal(trans.probs, np.ones((20, 3, 1)))
+        assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, 1, k)
+        for j in range(k):
+            assert trans.corner_idx[:, :, 0, j].flags.c_contiguous
+            assert trans.corner_wt[:, :, 0, j].flags.c_contiguous
+        wt = trans.corner_wt[:, :, 0]
+        assert wt.min() >= 0.0
+        eps = np.finfo(np.float64).eps
+        assert np.abs(wt.sum(axis=2) - 1.0).max() <= (n_w * 4 + k + 2) * eps
+        for nodes, weights in zip(trans.corner_idx[:, :, 0].reshape(-1, k),
+                                  wt.reshape(-1, k)):
+            live = nodes[weights > 0.0]
+            assert np.unique(live).size == live.size
+            assert np.all(nodes[weights == 0.0] == nodes[0])
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_merge_of_unmerged_tables(self, law):
+        # precompute_transitions merges exactly the entries that the
+        # pointwise builder finds, in the same order.
+        model = make_stormwater_model(disturbance=law)
+        grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
+        trans = precompute_transitions(model, grid)
+        _, corner_idx, corner_wt = merge(*unmerged_transitions(model, grid))
+        assert np.array_equal(corner_idx, trans.corner_idx)
+        assert np.array_equal(corner_wt, trans.corner_wt)
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_merged_and_unmerged_solves_agree(self, law):
+        # On the coarse baseline grid, the merged operator against the
+        # unmerged (atom, corner) tables run through the same kernel: every
+        # step within kernel_bound of the unmerged step from the same
+        # J_{t+1} (the unmerged kernel rounds and multiplies no more often
+        # than sweep_loops), and both recursions choose the same action
+        # everywhere.
+        model = make_stormwater_model(disturbance=law)
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        trans = precompute_transitions(model, grid)
+        values, action_idx = value_iteration(0.5, model, grid, trans)
+        probs, corner_idx, corner_wt = unmerged_transitions(model, grid)
+        tables = (trans.cost, probs, corner_idx, corner_wt, trans.cz_idx,
+                  trans.cz_frac)
+        J = values[-1]
+        k = trans.corner_idx.shape[3]
+        for t in range(model.horizon - 1, -1, -1):
+            step, _ = sweep_kernel(values[t + 1], grid.z_axis, *tables)
+            bound = kernel_bound(values[t + 1], probs, corner_wt, k)
+            assert np.abs(values[t] - step).max() <= bound
+            J, U = sweep_kernel(J, grid.z_axis, *tables)
+            assert np.array_equal(U, action_idx[t])
 
     def test_layout_changes_no_answer(self):
         # The tables as built and C-ordered copies of them give bit-identical
