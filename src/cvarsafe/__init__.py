@@ -20,6 +20,6 @@ from .oracle import (OracleError, OracleSizeError, TinyInstance,
                      save_corpus)
 from .rollout import (PrecommitmentPolicy, RolloutBatch, estimate_risk,
                       rollout, synthesize_policy)
-from .solver import DualSweep, RiskSurface, extract_safe_set, risk_value, sweep
+from .solver import extract_safe_set, risk_value, sweep
 
 __version__ = "0.1.0"

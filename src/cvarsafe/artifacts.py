@@ -2,9 +2,12 @@
 
 Every file is byte-reproducible: floats are written with ``repr`` (shortest
 round-trip form), JSON keys are sorted, and each artifact embeds the
-resolved configuration hash. Every CSV goes through ``write_csv``, the one
-place that lays out its lines and formats its cells. Timing never goes into
-artifacts; it is printed to stderr by the CLI instead.
+resolved configuration hash. Values arrive as the plain arrays the solver
+returns: the sweep's ``v0`` (one row per s of ``grid.s_axis``) and the risk
+value's ``w_star`` and ``s_star`` (one entry per state node). Every CSV goes
+through ``write_csv``, the one place that lays out its lines and formats its
+cells. Timing never goes into artifacts; it is printed to stderr by the CLI
+instead.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .grids import AugmentedGrid
 from .rollout import RolloutBatch
-from .solver import DualSweep, RiskSurface
 
 __all__ = [
     "fmt",
@@ -76,21 +78,22 @@ def _grid_axes(grid: AugmentedGrid) -> dict:
             "s_axis": grid.s_axis.tolist()}
 
 
-def write_sweep(out_dir, dsweep: DualSweep, grid: AugmentedGrid,
+def write_sweep(out_dir, v0: np.ndarray, grid: AugmentedGrid,
                 config_hash: str, sweep_hash: str) -> None:
-    """Persist a dual sweep: sweep.csv (one row per s, one column per state
-    node in row-major order) plus sweep_meta.json carrying the grid axes and
-    the hash of the sweep-defining config fields (``config.sweep_hash``)."""
-    columns = ["s"] + [f"v{j}" for j in range(dsweep.v0.shape[1])]
-    rows = ((s, *v) for s, v in zip(dsweep.s_values.tolist(), dsweep.v0.tolist()))
+    """Persist a dual sweep ``v0``: sweep.csv (one row per s of the grid's s
+    axis, one column per state node in row-major order) plus sweep_meta.json
+    carrying the grid axes and the hash of the sweep-defining config fields
+    (``config.sweep_hash``)."""
+    columns = ["s"] + [f"v{j}" for j in range(v0.shape[1])]
+    rows = ((s, *v) for s, v in zip(grid.s_axis.tolist(), v0.tolist()))
     write_csv(f"{out_dir}/sweep.csv", config_hash, columns, rows)
     meta = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash,
             **_grid_axes(grid), "sweep_hash": sweep_hash}
     write_json(f"{out_dir}/sweep_meta.json", meta)
 
 
-def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> DualSweep:
-    """The dual sweep ``write_sweep`` stored in ``out_dir``, if made on ``grid``
+def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> np.ndarray:
+    """The ``v0`` that ``write_sweep`` stored in ``out_dir``, if made on ``grid``
     for the config whose ``config.sweep_hash`` is ``sweep_hash``: the one check
     that a stored sweep may be used. FileNotFoundError if a file is missing;
     else ValueError naming the file if one does not parse, if a field of
@@ -138,15 +141,15 @@ def read_sweep(out_dir, grid: AugmentedGrid, sweep_hash: str) -> DualSweep:
         i, j = bad[0]
         raise ValueError(f"{csv_path}: v{j} at s={fmt(data[i, 0])} is "
                          f"{fmt(data[i, 1 + j])}; every V^s value is finite and >= 0")
-    return DualSweep(data[:, 0], data[:, 1:])
+    return data[:, 1:]
 
 
-def write_surface_csv(path, surface: RiskSurface, grid: AugmentedGrid,
-                      config_hash: str) -> None:
-    rows = zip(*grid.x_nodes().T.tolist(), surface.v_star.tolist(),
-               surface.w_star.tolist(), surface.s_star.tolist())
-    write_csv(path, config_hash,
-              _x_columns(grid) + ["v_star", "w_star", "s_star"], rows)
+def write_surface_csv(path, w_star: np.ndarray, s_star: np.ndarray,
+                      grid: AugmentedGrid, config_hash: str) -> None:
+    """The risk value and its minimizing s (``solver.risk_value``), one row
+    per state node: ``x1,...,w_star,s_star``."""
+    rows = zip(*grid.x_nodes().T.tolist(), w_star.tolist(), s_star.tolist())
+    write_csv(path, config_hash, _x_columns(grid) + ["w_star", "s_star"], rows)
 
 
 def write_mask_csv(path, mask: np.ndarray, grid: AugmentedGrid,

@@ -88,8 +88,8 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     print(f"sweep: {grid.s_axis.size} dual parameters, backend={backend()}",
           file=sys.stderr)
-    dsweep = _sweep(cfg, model, grid, args.out, chash)
-    artifacts.write_sweep(args.out, dsweep, grid, chash,
+    v0 = _sweep(cfg, model, grid, args.out, chash)
+    artifacts.write_sweep(args.out, v0, grid, chash,
                           config_mod.sweep_hash(cfg))
     return 0
 
@@ -98,17 +98,17 @@ def cmd_safe_sets(args) -> int:
     cfg = _load(args)
     model, grid, chash = _prepare(cfg)
     config_mod.rs_within_range(cfg, model)
-    dsweep = artifacts.read_sweep(args.sweep or args.out, grid,
-                                  config_mod.sweep_hash(cfg))
+    v0 = artifacts.read_sweep(args.sweep or args.out, grid,
+                              config_mod.sweep_hash(cfg))
     os.makedirs(args.out, exist_ok=True)
     counts = {}
     for alpha in cfg["alphas"]:
-        surface = risk_value(dsweep, alpha, model.g_lower)
+        w_star, s_star = risk_value(grid.s_axis, v0, alpha)
         a_tag = artifacts.fmt(alpha)
         artifacts.write_surface_csv(
-            f"{args.out}/surface_alpha={a_tag}.csv", surface, grid, chash)
+            f"{args.out}/surface_alpha={a_tag}.csv", w_star, s_star, grid, chash)
         for r in cfg["rs"]:
-            mask = extract_safe_set(surface, r)
+            mask = extract_safe_set(w_star, r)
             artifacts.write_mask_csv(
                 f"{args.out}/mask_alpha={a_tag}_r={artifacts.fmt(r)}.csv",
                 mask, grid, chash)
@@ -133,12 +133,12 @@ def cmd_deploy(args) -> int:
     config_mod.x0_within_bounds(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     if args.sweep:
-        dsweep = artifacts.read_sweep(args.sweep, grid, config_mod.sweep_hash(cfg))
+        v0 = artifacts.read_sweep(args.sweep, grid, config_mod.sweep_hash(cfg))
     else:
-        dsweep = sweep(model, grid, threads=cfg["threads"])
+        v0 = sweep(model, grid, threads=cfg["threads"])
     x0 = np.asarray(cfg["deploy"]["x0"], dtype=np.float64)
     alpha = float(cfg["deploy"]["alpha"])
-    policy = synthesize_policy(x0, alpha, dsweep, model, grid)
+    policy = synthesize_policy(x0, alpha, v0, model, grid)
     num = int(cfg["deploy"]["rollouts"])
     summary = {
         "schema_version": artifacts.SCHEMA_VERSION,
@@ -153,7 +153,7 @@ def cmd_deploy(args) -> int:
     if num > 0:
         batch = rollout(policy, num, cfg["seed"], model,
                         keep=cfg["deploy"]["csv_max"])
-        stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
+        stats = estimate_risk(batch, alpha, policy.s_star)
         summary.update(stats)
         summary["consistency_gap"] = abs(stats["excess_hat"] - policy.dp_value)
         artifacts.write_rollouts_csv(f"{args.out}/rollouts.csv", batch, chash)
@@ -212,9 +212,8 @@ def cmd_oracle(args) -> int:
 
 def _pipeline_value(inst, alpha) -> float:
     model, grid = inst.to_model_and_grid()
-    dsweep = sweep(model, grid)
-    surface = risk_value(dsweep, alpha, model.g_lower)
-    return float(surface.v_star[inst.x0])
+    w_star, _ = risk_value(grid.s_axis, sweep(model, grid), alpha)
+    return float(w_star[inst.x0])
 
 
 def _default_corpus():
@@ -236,11 +235,11 @@ def cmd_compare_designs(args) -> int:
         model, grid, _ = _prepare(dcfg)
         config_mod.rs_within_range(dcfg, model)
         print(f"compare-designs: sweeping design {design}", file=sys.stderr)
-        dsweep = _sweep(cfg, model, grid)
+        v0 = _sweep(cfg, model, grid)
         for alpha in cfg["alphas"]:
-            surface = risk_value(dsweep, alpha, model.g_lower)
+            w_star, _ = risk_value(grid.s_axis, v0, alpha)
             for r in cfg["rs"]:
-                counts[(design, alpha, r)] = int(extract_safe_set(surface, r).sum())
+                counts[(design, alpha, r)] = int(extract_safe_set(w_star, r).sum())
     rows = []
     for design in DESIGNS:
         for alpha in cfg["alphas"]:

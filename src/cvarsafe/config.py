@@ -226,12 +226,10 @@ def build_grid(cfg: dict, model: SystemModel) -> AugmentedGrid:
 
 
 def rs_within_range(cfg: dict, model: SystemModel) -> None:
-    """Check the threshold list against [g_lower, g_lower + c_bar]."""
-    lo = model.g_lower
-    hi = model.g_lower + model.c_bar
+    """Check the threshold list against the cost range [0, c_bar]."""
     for i, r in enumerate(cfg["rs"]):
-        _require(lo <= float(r) <= hi, f"rs[{i}]",
-                 f"must be in [{lo}, {hi}], got {r!r}")
+        _require(0.0 <= float(r) <= model.c_bar, f"rs[{i}]",
+                 f"must be in [0.0, {model.c_bar}], got {r!r}")
 
 
 def x0_within_bounds(cfg: dict, model: SystemModel) -> None:

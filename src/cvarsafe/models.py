@@ -262,7 +262,6 @@ class SystemModel:
     terminal_cost: Callable
     disturbance: Union[Pmf, Callable]
     c_bar: float
-    g_lower: float = 0.0
 
     def disturbance_rows(self, x, u):
         """Atom values and probs at (x, u), read-only arrays of shape (*batch, n_w)
@@ -292,7 +291,7 @@ def make_stormwater_model(params: Optional[StormwaterParams] = None,
 
     The stage and terminal costs both equal the elevation above the
     combined-sewer inverts (range [0, 2] ft for the baseline tables), so
-    c_bar = max(kbar_i - k_i) and g_lower = 0.
+    c_bar = max(kbar_i - k_i).
     """
     p = design_params("a") if params is None else params
     dist = default_disturbance() if disturbance is None else disturbance
@@ -318,5 +317,4 @@ def make_stormwater_model(params: Optional[StormwaterParams] = None,
         terminal_cost=tcost,
         disturbance=dist,
         c_bar=c_bar,
-        g_lower=0.0,
     )

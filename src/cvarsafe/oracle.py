@@ -166,7 +166,6 @@ class TinyInstance:
             terminal_cost=lambda x: terminal[at(x)],
             disturbance=dist,
             c_bar=float(self.c_bar),
-            g_lower=0.0,
         )
         z_nodes = sorted({0.0, float(self.c_bar)} | {float(c) for c in cost.ravel()})
         s_nodes = self.s_breakpoints()

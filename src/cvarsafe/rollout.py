@@ -1,9 +1,10 @@
 """Pre-commitment policy deployment and Monte Carlo validation.
 
-A policy is synthesized for one (initial state, risk level) pair: the
-minimizing dual parameter is read off the risk surface at the node nearest
-the initial state, value iteration is re-solved at exactly that parameter,
-and the resulting argmin tables drive the rollouts.
+A policy is synthesized for one (initial state, risk level) pair from the
+sweep's ``v0`` array: the minimizing dual parameter is read off
+``solver.risk_value`` at the node nearest the initial state, value
+iteration is re-solved at exactly that parameter, and the resulting argmin
+tables drive the rollouts.
 
 Records are time-major: ``RolloutBatch.states`` has shape
 (horizon + 1, kept, state_dim), ``zs`` (horizon + 1, kept), ``actions`` and
@@ -33,7 +34,7 @@ from .cvar import Pmf, cvar_tail, var
 from .dp import value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
-from .solver import DualSweep, risk_value
+from .solver import risk_value
 
 __all__ = ["PrecommitmentPolicy", "RolloutBatch", "synthesize_policy",
            "rollout", "estimate_risk"]
@@ -74,7 +75,7 @@ class RolloutBatch:
     zs: np.ndarray       # (N + 1, kept)
     actions: np.ndarray  # (N, kept)
     shocks: np.ndarray   # (N, kept)
-    y_prime: np.ndarray  # (num,) realized maximum costs (g_lower restored)
+    y_prime: np.ndarray  # (num,) realized maximum costs
 
     @property
     def num(self) -> int:
@@ -82,16 +83,20 @@ class RolloutBatch:
         return self.y_prime.size
 
 
-def synthesize_policy(x0, alpha, dsweep: DualSweep, model: SystemModel,
+def synthesize_policy(x0, alpha, v0: np.ndarray, model: SystemModel,
                       grid: AugmentedGrid) -> PrecommitmentPolicy:
-    """Fix s* at the node nearest x0 and re-solve value iteration there."""
+    """Fix s* at the node nearest x0, given the sweep ``v0`` on ``grid``'s s
+    axis, and re-solve value iteration there. ``x0`` must be one state of
+    shape (state_dim,) inside the state box, else ValueError."""
     x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (model.state_dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected one state of "
+                         f"state_dim={model.state_dim} coordinates")
     for d, (lo, hi) in enumerate(model.state_bounds):
         if not lo <= x0[d] <= hi:
             raise ValueError(f"x0[{d}]={x0[d]} outside bounds [{lo}, {hi}]")
-    surface = risk_value(dsweep, alpha, model.g_lower)
-    node = grid.nearest_x_index(x0)
-    s_star = float(surface.s_star[node])
+    _, s_stars = risk_value(grid.s_axis, v0, alpha)
+    s_star = float(s_stars[grid.nearest_x_index(x0)])
     values, action_idx = value_iteration(s_star, model, grid)
     return PrecommitmentPolicy(float(alpha), x0, s_star, values, action_idx, grid)
 
@@ -150,7 +155,7 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
             bx[t + 1, :m] = model.dynamics(x, u, w)
             bz[t + 1, :m] = np.maximum(z, model.stage_cost(x, u))
         y = np.maximum(bz[horizon, :m], model.terminal_cost(bx[horizon, :m]))
-        y_prime[lo:lo + m] = y + model.g_lower
+        y_prime[lo:lo + m] = y
         c = min(m, kept - lo)  # leading columns still to record
         if c > 0:
             for record, scratch in zip((states, zs, acts, shocks), (bx, bz, bu, bw)):
@@ -158,12 +163,11 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
     return RolloutBatch(states, zs, acts, shocks, y_prime)
 
 
-def estimate_risk(batch: RolloutBatch, alpha, g_lower: float = 0.0,
-                  s_star: float = None) -> dict:
+def estimate_risk(batch: RolloutBatch, alpha, s_star: float = None) -> dict:
     """Empirical risk statistics of the realized maximum costs.
 
     Builds the empirical pmf of Y' and evaluates VaR/CVaR through the risk
-    functionals; ``excess_hat`` is the sample mean of max(Y' - g_lower - s, 0)
+    functionals; ``excess_hat`` is the sample mean of max(Y' - s, 0)
     at the policy's dual parameter together with its standard error.
     """
     if batch.num == 0:
@@ -181,7 +185,7 @@ def estimate_risk(batch: RolloutBatch, alpha, g_lower: float = 0.0,
         "mean_hat": dist.mean(),
     }
     if s_star is not None:
-        excess = np.maximum(batch.y_prime - g_lower - float(s_star), 0.0)
+        excess = np.maximum(batch.y_prime - float(s_star), 0.0)
         out["excess_hat"] = float(excess.mean())
         out["excess_stderr"] = float(excess.std(ddof=1) / np.sqrt(batch.num)) \
             if batch.num > 1 else 0.0

@@ -1,13 +1,16 @@
 """Dual-parameter sweep, outer minimization, and safe-set extraction.
 
-The pipeline:
+The pipeline, on plain arrays:
 
-  1. solve value iteration for every s on the grid's s axis and collect the
-     z = 0 slice of J_0 (the ``DualSweep``),
-  2. per state node, minimize s + V^s(x) / alpha over the s axis with
-     ``cvar.minimize_dual``, the same dual minimization as ``cvar_dual``
-     (the ``RiskSurface``: optimal value, its shift by g_lower, argmin s),
-  3. threshold the surface at r to get the boolean safe-set mask.
+  1. ``sweep``: solve value iteration for every s on the grid's s axis and
+     collect the z = 0 slice of J_0, ``v0[i, j] = V^{s_i}(x_j)`` with s_i =
+     ``grid.s_axis[i]``. Rows are nonincreasing in s, the row at s = c_bar is
+     identically zero, and every column is 1-Lipschitz in s;
+  2. ``risk_value``: per state node, minimize s + V^s(x) / alpha over the s
+     axis with ``cvar.minimize_dual``, the same dual minimization as
+     ``cvar_dual``, giving the risk value ``w_star`` and its argmin ``s_star``;
+  3. ``extract_safe_set``: threshold ``w_star`` at r to get the boolean
+     safe-set mask.
 
 Dual-parameter solves are independent, so the sweep can split the s axis
 across a thread pool; the numpy array operations of the Bellman step release
@@ -18,7 +21,6 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +29,13 @@ from .dp import precompute_transitions, value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
 
-__all__ = ["DualSweep", "RiskSurface", "sweep", "risk_value", "extract_safe_set"]
-
-
-@dataclass(frozen=True)
-class DualSweep:
-    """V^s(x) = J_0^s(x, 0) for every s on the sweep axis.
-
-    ``v0[i, j]`` is the value at s_values[i] and flat state node j. Rows are
-    nonincreasing in s, the row at s = c_bar is identically zero, and every
-    column is 1-Lipschitz in s.
-    """
-
-    s_values: np.ndarray  # (n_s,)
-    v0: np.ndarray        # (n_s, n_xnodes)
-
-
-@dataclass(frozen=True)
-class RiskSurface:
-    """Optimal risk value per state node at one risk level.
-
-    ``v_star`` minimizes s + V^s(x) / alpha over the swept s values;
-    ``w_star = g_lower + v_star`` restores the original cost offset;
-    ``s_star`` is the smallest minimizing dual parameter per node.
-    """
-
-    alpha: float
-    v_star: np.ndarray
-    w_star: np.ndarray
-    s_star: np.ndarray
+__all__ = ["sweep", "risk_value", "extract_safe_set"]
 
 
 def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
-          on_solve=None) -> DualSweep:
-    """Run value iteration for every dual parameter on the s axis.
+          on_solve=None) -> np.ndarray:
+    """Run value iteration for every dual parameter on the s axis and return
+    ``v0`` of shape (n_s, n_xnodes), row i at ``grid.s_axis[i]``.
 
     The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
     ``threads`` bounds the worker count; any count yields identical output.
@@ -87,24 +62,18 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     else:
         for i in range(s_values.size):
             solve_one(i)
-    return DualSweep(s_values.copy(), v0)
+    return v0
 
 
-def risk_value(dsweep: DualSweep, alpha, g_lower: float = 0.0) -> RiskSurface:
-    """Outer minimization over the swept dual parameters.
-
-    Per node, minimizes s + V^s(x) / alpha over the s axis and records the
-    smallest minimizing s, both by ``cvar.minimize_dual``. ``g_lower`` is the
-    model's cost offset (0 for the stormwater designs), added once to produce
-    w_star.
-    """
-    objective, best = minimize_dual(dsweep.s_values[:, None], dsweep.v0, alpha)
-    v_star = objective[best, np.arange(dsweep.v0.shape[1])]
-    return RiskSurface(float(alpha), v_star, v_star + g_lower,
-                       dsweep.s_values[best])
+def risk_value(s_values, v0, alpha):
+    """``(w_star, s_star)``: per node, the minimum of s + V^s(x) / alpha over
+    ``s_values`` (ascending, one per row of ``v0``) and the smallest
+    minimizing s, both by ``cvar.minimize_dual``."""
+    objective, best = minimize_dual(s_values[:, None], v0, alpha)
+    return objective[best, np.arange(v0.shape[1])], s_values[best]
 
 
-def extract_safe_set(surface: RiskSurface, r: float) -> np.ndarray:
+def extract_safe_set(w_star: np.ndarray, r: float) -> np.ndarray:
     """The safe set as a boolean mask, one entry per state node: the exact
     sub-level comparison w_star <= r (no tolerance)."""
-    return surface.w_star <= float(r)
+    return w_star <= float(r)

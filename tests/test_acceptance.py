@@ -51,18 +51,18 @@ def corpus():
 def smoke_baseline():
     model = make_stormwater_model(design_params("a"), smoke_disturbance())
     grid = coarse_grid(model)
-    dsweep = sweep(model, grid)  # single-threaded: criterion 4's own budget
-    return model, grid, dsweep
+    v0 = sweep(model, grid)  # single-threaded: criterion 4's own budget
+    return model, grid, v0
 
 
-def check_dual_sweep_boundaries(dsweep, alphas):
-    assert np.all(dsweep.v0[-1] == 0.0), "v0 row at s = c_bar must be zero"
-    ds = np.diff(dsweep.s_values)
-    dv = np.diff(dsweep.v0, axis=0)
+def check_dual_sweep_boundaries(s_values, v0, alphas):
+    assert np.all(v0[-1] == 0.0), "v0 row at s = c_bar must be zero"
+    ds = np.diff(s_values)
+    dv = np.diff(v0, axis=0)
     assert dv.max() <= FLOAT_SLACK, "v0 must be nonincreasing in s"
     assert np.abs(dv).max() <= ds.max() + FLOAT_SLACK, "v0 must be 1-Lipschitz"
     for alpha in alphas:
-        L = dsweep.s_values[:, None] + dsweep.v0 / alpha
+        L = s_values[:, None] + v0 / alpha
         bound = ds[:, None] * (1.0 + alpha) / alpha
         assert np.all(np.abs(np.diff(L, axis=0)) <= bound + FLOAT_SLACK)
 
@@ -85,8 +85,8 @@ def test_c1_oracle_equivalence(corpus):
         worst_exchange = max(worst_exchange,
                              abs(result.value - result.exchange_value))
         model, grid = inst.to_model_and_grid()
-        surface = risk_value(sweep(model, grid), alpha, model.g_lower)
-        gap = abs(float(surface.v_star[inst.x0]) - result.value)
+        w_star, _ = risk_value(grid.s_axis, sweep(model, grid), alpha)
+        gap = abs(float(w_star[inst.x0]) - result.value)
         worst_pipeline = max(worst_pipeline, gap)
         assert gap <= 1e-9, f"instance {i}: pipeline gap {gap}"
     elapsed = time.perf_counter() - t0
@@ -124,12 +124,13 @@ def test_c2_cvar_axioms():
 
 def test_c3_dual_parameter_boundaries(smoke_baseline, corpus):
     """s = c_bar row zero, 1-Lipschitz columns, objective Lipschitz bound."""
-    _, _, dsweep = smoke_baseline
-    check_dual_sweep_boundaries(dsweep, alphas=(0.99, 0.05, 0.005))
+    _, grid, v0 = smoke_baseline
+    check_dual_sweep_boundaries(grid.s_axis, v0, alphas=(0.99, 0.05, 0.005))
     checked = 1
     for inst in corpus[:10]:
         model, grid = inst.to_model_and_grid()
-        check_dual_sweep_boundaries(sweep(model, grid), alphas=(0.5, 1.0))
+        check_dual_sweep_boundaries(grid.s_axis, sweep(model, grid),
+                                    alphas=(0.5, 1.0))
         checked += 1
     print(f"\nACCEPTANCE 3 dual-parameter-boundaries: PASS ({checked} sweeps checked)")
 
@@ -137,14 +138,14 @@ def test_c3_dual_parameter_boundaries(smoke_baseline, corpus):
 def test_c4_safe_set_nesting(smoke_baseline):
     """Masks nest over alpha and r on the coarse baseline; <= 5 min."""
     t0 = time.perf_counter()
-    model, grid, dsweep = smoke_baseline
+    _, grid, v0 = smoke_baseline
     alphas = (0.99, 0.05, 0.005)
     rs = (0.2, 1.0, 1.8)
     masks = {}
     for alpha in alphas:
-        surface = risk_value(dsweep, alpha, model.g_lower)
+        w_star, _ = risk_value(grid.s_axis, v0, alpha)
         for r in rs:
-            masks[(alpha, r)] = extract_safe_set(surface, r)
+            masks[(alpha, r)] = extract_safe_set(w_star, r)
     for r in rs:
         for bigger, smaller in zip(alphas, alphas[1:]):
             assert np.all(masks[(smaller, r)] <= masks[(bigger, r)]), \
@@ -167,10 +168,11 @@ def test_c5_design_comparison_direction():
     for design in "abcd":
         model = make_stormwater_model(design_params(design),
                                       default_disturbance())
-        dsweep = sweep(model, coarse_grid(model), threads=4)
+        grid = coarse_grid(model)
+        v0 = sweep(model, grid, threads=4)
         for alpha in (0.99, 0.05):
-            surface = risk_value(dsweep, alpha, model.g_lower)
-            counts[(design, alpha)] = extract_safe_set(surface, 1.0).sum()
+            w_star, _ = risk_value(grid.s_axis, v0, alpha)
+            counts[(design, alpha)] = extract_safe_set(w_star, 1.0).sum()
     for alpha in (0.99, 0.05):
         base = counts[("a", alpha)]
         assert base > 0
@@ -185,11 +187,11 @@ def test_c5_design_comparison_direction():
 
 def test_c6_alpha_one_matches_expectation_dp(smoke_baseline):
     """V*_1 equals the independent expectation DP within one s spacing."""
-    model, grid, dsweep = smoke_baseline
-    surface = risk_value(dsweep, 1.0, model.g_lower)
+    model, grid, v0 = smoke_baseline
+    w_star, _ = risk_value(grid.s_axis, v0, 1.0)
     reference = expectation_dp(model, grid)
     spacing = float(np.diff(grid.s_axis).max())
-    worst = float(np.abs(surface.v_star - reference).max())
+    worst = float(np.abs(w_star - reference).max())
     assert worst <= spacing, f"alpha=1 gap {worst} exceeds s spacing {spacing}"
     print(f"\nACCEPTANCE 6 alpha-one-consistency: PASS "
           f"(max gap {worst:.2e} vs spacing {spacing})")
@@ -202,26 +204,26 @@ def test_c7_monte_carlo_consistency(corpus, smoke_baseline):
     for i, inst in enumerate(corpus):
         alpha = ORACLE_ALPHAS[i % len(ORACLE_ALPHAS)]
         model, grid = inst.to_model_and_grid()
-        dsweep = sweep(model, grid)
+        v0 = sweep(model, grid)
         x0 = np.array([inst.states[inst.x0]])
-        policy = synthesize_policy(x0, alpha, dsweep, model, grid)
+        policy = synthesize_policy(x0, alpha, v0, model, grid)
         batch = rollout(policy, 1_000_000, seed=1000 + i, model=model,
                         keep=0)
-        stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
+        stats = estimate_risk(batch, alpha, policy.s_star)
         gap = abs(stats["excess_hat"] - policy.dp_value)
         bound = 3.0 * stats["excess_stderr"] + MC_ATOL
         assert gap <= bound, f"instance {i}: MC gap {gap} > {bound}"
         if stats["excess_stderr"] > 0:
             worst_sigma = max(worst_sigma, gap / stats["excess_stderr"])
 
-    model, grid, dsweep = smoke_baseline
+    model, grid, v0 = smoke_baseline
     x0 = np.array([2.5, 3.0])  # a grid node
     grid_tol = 0.05
     reported = {}
     for alpha in (0.99, 0.05):
-        policy = synthesize_policy(x0, alpha, dsweep, model, grid)
+        policy = synthesize_policy(x0, alpha, v0, model, grid)
         batch = rollout(policy, 1_000_000, seed=999, model=model, keep=0)
-        stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
+        stats = estimate_risk(batch, alpha, policy.s_star)
         gap = abs(stats["excess_hat"] - policy.dp_value)
         reported[alpha] = round(gap, 6)
         assert gap <= 3.0 * stats["excess_stderr"] + grid_tol, \

@@ -92,9 +92,9 @@ class TestSweepCommand:
     def test_artifacts_and_roundtrip(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
-        dsweep, grid, chash = read_configured_sweep(tiny_config, out)
-        assert dsweep.v0.shape == (5, 49)
-        assert np.all(dsweep.v0[-1] == 0.0)
+        v0, grid, chash = read_configured_sweep(tiny_config, out)
+        assert v0.shape == (5, 49)
+        assert np.all(v0[-1] == 0.0)
         assert len(chash) == 12
         head = (out / "sweep.csv").read_text().splitlines()[0]
         assert head == f"# config={chash}"
@@ -199,6 +199,28 @@ class TestSafeSetsCommand:
         assert counts["alpha=0.99,r=1.0"] <= counts["alpha=0.99,r=1.8"]
         assert (out / "surface_alpha=0.99.csv").exists()
         assert (out / "mask_alpha=0.5_r=1.8.csv").exists()
+
+    def test_surface_holds_the_risk_value_and_its_masks(self, tiny_config,
+                                                        tmp_path):
+        out = tmp_path / "run"
+        cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        assert cli.main(["safe-sets", "--config", tiny_config,
+                         "--out", str(out)]) == 0
+        v0, grid, _ = read_configured_sweep(tiny_config, out)
+        for alpha in TINY_CONFIG["alphas"]:
+            lines = (out / f"surface_alpha={alpha!r}.csv").read_text().splitlines()
+            assert lines[1] == "x1,x2,w_star,s_star"
+            table = np.array([[float(c) for c in line.split(",")]
+                              for line in lines[2:]])
+            w_star, s_star = solver.risk_value(grid.s_axis, v0, alpha)
+            assert np.array_equal(table[:, :2], grid.x_nodes())
+            assert np.array_equal(table[:, 2], w_star)
+            assert np.array_equal(table[:, 3], s_star)
+            for r in TINY_CONFIG["rs"]:
+                mask = (out / f"mask_alpha={alpha!r}_r={r!r}.csv").read_text()
+                in_set = [int(line.rsplit(",", 1)[1])
+                          for line in mask.splitlines()[2:]]
+                assert in_set == (table[:, 2] <= r).astype(int).tolist()
 
     def test_missing_sweep_is_an_error(self, tiny_config, tmp_path):
         out = tmp_path / "nosweep"
@@ -455,11 +477,9 @@ class TestSweepProvenance:
     def test_untouched_sweep_is_read_back_exactly(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["sweep", "--config", tiny_config, "--out", str(out)]) == 0
-        dsweep, grid, _ = read_configured_sweep(tiny_config, out)
+        v0, grid, _ = read_configured_sweep(tiny_config, out)
         cfg = load_config(tiny_config)
-        want = solver.sweep(build_model(cfg), grid)
-        assert np.array_equal(dsweep.s_values, want.s_values)
-        assert np.array_equal(dsweep.v0, want.v0)
+        assert np.array_equal(v0, solver.sweep(build_model(cfg), grid))
 
 
 def test_one_timing_line_per_command(tiny_config, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import (DualSweep, Pmf, TinyInstance, cvar_dual, cvar_tail,
+from cvarsafe import (Pmf, TinyInstance, cvar_dual, cvar_tail,
                       expected_excess, make_stormwater_model, risk_value, var)
 
 QUARTER = Pmf([1, 2, 3, 4], [0.25, 0.25, 0.25, 0.25])
@@ -245,9 +245,8 @@ class TestSharedRules:
         pmfs = [random_pmf(rng) for _ in range(300)]
         v0 = np.stack([np.maximum(p.values[None, :] - s[:, None], 0.0) @ p.probs
                        for p in pmfs], axis=1)
-        dsweep = DualSweep(s, v0)
         for alpha in (0.05, 0.25, 0.5, 0.99, 1.0):
-            surface = risk_value(dsweep, alpha)
+            w_star, s_star = risk_value(s, v0, alpha)
             dual = np.array([cvar_dual(p, alpha, s_grid=s) for p in pmfs])
-            assert np.array_equal(surface.v_star, dual[:, 0])
-            assert np.array_equal(surface.s_star, dual[:, 1])
+            assert np.array_equal(w_star, dual[:, 0])
+            assert np.array_equal(s_star, dual[:, 1])

@@ -207,7 +207,7 @@ def line_model(horizon=2, step=0.5, cost_scale=0.25,
         return cost_scale * np.asarray(x, dtype=np.float64)[..., 0]
 
     return SystemModel(1, ((0.0, 2.0),), (0.0, 1.0), horizon, dyn, cost, tcost,
-                       dist, c_bar, 0.0)
+                       dist, c_bar)
 
 
 def line_grid():

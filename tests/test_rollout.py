@@ -37,11 +37,11 @@ class TestSynthesizePolicy:
     def test_s_star_read_from_surface(self):
         model, grid, ds = small_setup()
         alpha = 0.5
-        surface = risk_value(ds, alpha, model.g_lower)
+        _, s_star = risk_value(grid.s_axis, ds, alpha)
         x0 = np.array([2.5, 3.0])
         policy = synthesize_policy(x0, alpha, ds, model, grid)
         node = grid.nearest_x_index(x0)
-        assert policy.s_star == surface.s_star[node]
+        assert policy.s_star == s_star[node]
         values, action_idx = value_iteration(policy.s_star, model, grid)
         assert np.array_equal(policy.values, values)
         assert np.array_equal(policy.action_idx, action_idx)
@@ -51,6 +51,13 @@ class TestSynthesizePolicy:
         model, grid, ds = small_setup()
         with pytest.raises(ValueError):
             synthesize_policy(np.array([9.0, 1.0]), 0.5, ds, model, grid)
+
+    @pytest.mark.parametrize("x0", [[3.0, 3.5, 1.0], [3.0]],
+                             ids=["three-coordinates", "one-coordinate"])
+    def test_malformed_x0(self, x0):
+        model, grid, ds = small_setup()
+        with pytest.raises(ValueError, match=r"x0 .*state_dim=2"):
+            synthesize_policy(np.array(x0), 0.5, ds, model, grid)
 
 
 class TestRollout:
@@ -199,8 +206,8 @@ class TestKeep:
         full = rollout(policy, 200, seed=7, model=model)
         bare = rollout(policy, 200, seed=7, model=model, keep=0)
         assert bare.states.shape[1] == 0
-        assert (estimate_risk(bare, 0.5, model.g_lower, policy.s_star)
-                == estimate_risk(full, 0.5, model.g_lower, policy.s_star))
+        assert (estimate_risk(bare, 0.5, policy.s_star)
+                == estimate_risk(full, 0.5, policy.s_star))
 
 
 class TestEstimateRisk:
@@ -208,7 +215,7 @@ class TestEstimateRisk:
         model, grid, ds = small_setup(disturbance=Pmf([12.2], [1.0]))
         policy = synthesize_policy(np.array([2.0, 2.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 30, seed=0, model=model)
-        stats = estimate_risk(batch, 0.5, model.g_lower, policy.s_star)
+        stats = estimate_risk(batch, 0.5, policy.s_star)
         assert stats["cvar_hat"] == batch.y_prime[0]
         assert stats["var_hat"] == batch.y_prime[0]
 
@@ -241,7 +248,7 @@ class TestMonteCarloConsistency:
         x0 = np.array([inst.states[inst.x0]])
         policy = synthesize_policy(x0, alpha, ds, model, grid)
         batch = rollout(policy, 200_000, seed=11, model=model, keep=0)
-        stats = estimate_risk(batch, alpha, model.g_lower, policy.s_star)
+        stats = estimate_risk(batch, alpha, policy.s_star)
         assert policy.dp_value > 0 and stats["excess_stderr"] > 0
         gap = abs(stats["excess_hat"] - policy.dp_value)
         assert gap <= 3.0 * stats["excess_stderr"] + 1e-9
@@ -260,7 +267,7 @@ class TestMonteCarloConsistency:
             policy = PrecommitmentPolicy(0.5, x0, s, *value_iteration(s, model, grid),
                                          grid)
             batch = rollout(policy, 200_000, seed=0, model=model, keep=0)
-            stats = estimate_risk(batch, 0.5, model.g_lower, s)
+            stats = estimate_risk(batch, 0.5, s)
             excess, stderr = stats["excess_hat"], stats["excess_stderr"]
             assert policy.dp_value >= excess - 3.0 * stderr
             gaps.append((policy.dp_value - excess) / stderr)

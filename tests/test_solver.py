@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, DualSweep, exact_optimal_cvar,
+from cvarsafe import (AugmentedGrid, exact_optimal_cvar,
                       extract_safe_set, generate_corpus, make_stormwater_model,
                       risk_value, smoke_disturbance, sweep)
 from cvarsafe.oracle import _excess_dp
@@ -18,26 +18,26 @@ def coarse_sweep(threads=1):
 
 class TestSweep:
     def test_shape_and_boundaries(self):
-        model, grid, ds = coarse_sweep()
-        assert ds.v0.shape == (5, 81)
-        assert np.all(ds.v0[-1] == 0.0)           # s = c_bar row
-        assert np.all(np.diff(ds.v0, axis=0) <= 1e-12)  # nonincreasing rows
-        dv = np.abs(np.diff(ds.v0, axis=0))
-        assert dv.max() <= np.diff(ds.s_values).max() + 1e-12
+        model, grid, v0 = coarse_sweep()
+        assert v0.shape == (5, 81)
+        assert np.all(v0[-1] == 0.0)           # s = c_bar row
+        assert np.all(np.diff(v0, axis=0) <= 1e-12)  # nonincreasing rows
+        dv = np.abs(np.diff(v0, axis=0))
+        assert dv.max() <= np.diff(grid.s_axis).max() + 1e-12
 
     def test_thread_count_does_not_change_results(self):
-        _, _, ds1 = coarse_sweep(threads=1)
-        _, _, ds4 = coarse_sweep(threads=4)
-        assert np.array_equal(ds1.v0, ds4.v0)
+        _, _, v0_1 = coarse_sweep(threads=1)
+        _, _, v0_4 = coarse_sweep(threads=4)
+        assert np.array_equal(v0_1, v0_4)
 
     def test_tiny_instance_sweep_at_zero_matches_expectation_dp(self):
         # V^0 minimizes E[max(Y - 0, 0)] = E[Y]: compare to the oracle's
         # independent dict-based expectation DP
         inst = generate_corpus(seed=5, count=3)[2]
         model, grid = inst.to_model_and_grid()
-        ds = sweep(model, grid)
-        assert ds.s_values[0] == 0.0
-        assert_allclose(ds.v0[0][inst.x0], _excess_dp(inst, 0.0), atol=1e-12)
+        v0 = sweep(model, grid)
+        assert grid.s_axis[0] == 0.0
+        assert_allclose(v0[0][inst.x0], _excess_dp(inst, 0.0), atol=1e-12)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_writes_nothing_to_stderr(self, capfd, threads):
@@ -61,54 +61,46 @@ class TestSweep:
 
 class TestRiskValue:
     def test_all_safe_region_minimizes_at_zero(self):
-        ds = DualSweep(np.array([0.0, 1.0, 2.0]), np.zeros((3, 4)))
-        surface = risk_value(ds, 0.5)
-        assert np.all(surface.v_star == 0.0)
-        assert np.all(surface.s_star == 0.0)
-
-    def test_g_lower_shift(self):
-        ds = DualSweep(np.array([0.0, 2.0]), np.array([[1.0, 0.4], [0.0, 0.0]]))
-        surface = risk_value(ds, 1.0, g_lower=-0.5)
-        assert_allclose(surface.w_star, surface.v_star - 0.5)
+        w_star, s_star = risk_value(np.array([0.0, 1.0, 2.0]), np.zeros((3, 4)), 0.5)
+        assert np.all(w_star == 0.0)
+        assert np.all(s_star == 0.0)
 
     def test_matches_oracle_on_tiny_instance(self):
         inst = generate_corpus(seed=9, count=1)[0]
         model, grid = inst.to_model_and_grid()
-        ds = sweep(model, grid)
+        v0 = sweep(model, grid)
         for alpha in (0.05, 0.5, 1.0):
-            surface = risk_value(ds, alpha, model.g_lower)
+            w_star, _ = risk_value(grid.s_axis, v0, alpha)
             expected = exact_optimal_cvar(inst, alpha).value
-            assert abs(float(surface.v_star[inst.x0]) - expected) <= 1e-9
+            assert abs(float(w_star[inst.x0]) - expected) <= 1e-9
 
     def test_invalid_alpha(self):
-        ds = DualSweep(np.array([0.0, 1.0]), np.zeros((2, 2)))
         for alpha in (0.0, -1.0, 1.01):
             with pytest.raises(ValueError):
-                risk_value(ds, alpha)
+                risk_value(np.array([0.0, 1.0]), np.zeros((2, 2)), alpha)
 
     def test_smallest_minimizer_reported(self):
         # flat objective: every s ties, the smallest must be reported
-        ds = DualSweep(np.array([0.0, 1.0, 2.0]),
-                       np.array([[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]]))
-        surface = risk_value(ds, 1.0)
-        assert np.all(surface.s_star == 0.0)
-        assert np.all(surface.v_star == 2.0)
+        w_star, s_star = risk_value(np.array([0.0, 1.0, 2.0]),
+                                    np.array([[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]]), 1.0)
+        assert np.all(s_star == 0.0)
+        assert np.all(w_star == 2.0)
 
 
 class TestSafeSets:
     def test_threshold_extremes(self):
-        _, grid, ds = coarse_sweep()
-        surface = risk_value(ds, 0.5)
-        everything = extract_safe_set(surface, 2.0)   # r = g_upper
+        _, grid, v0 = coarse_sweep()
+        w_star, _ = risk_value(grid.s_axis, v0, 0.5)
+        everything = extract_safe_set(w_star, 2.0)   # r = c_bar
         assert everything.sum() == grid.n_xnodes
-        nothing = extract_safe_set(surface, float(surface.w_star.min()) - 1e-9)
+        nothing = extract_safe_set(w_star, float(w_star.min()) - 1e-9)
         assert nothing.sum() == 0
 
     def test_alpha_and_r_nesting(self):
-        _, _, ds = coarse_sweep()
+        _, grid, v0 = coarse_sweep()
         alphas = (0.99, 0.05, 0.005)
         rs = (0.2, 1.0, 1.8)
-        masks = {(a, r): extract_safe_set(risk_value(ds, a), r)
+        masks = {(a, r): extract_safe_set(risk_value(grid.s_axis, v0, a)[0], r)
                  for a in alphas for r in rs}
         for r in rs:
             for hi, lo in zip(alphas, alphas[1:]):  # smaller alpha: subset
@@ -118,6 +110,6 @@ class TestSafeSets:
                 assert np.all(masks[(a, lo)] <= masks[(a, hi)])
 
     def test_intermediate_threshold_is_proper_subset(self):
-        _, grid, ds = coarse_sweep()
-        mask = extract_safe_set(risk_value(ds, 0.99), 1.0)
+        _, grid, v0 = coarse_sweep()
+        mask = extract_safe_set(risk_value(grid.s_axis, v0, 0.99)[0], 1.0)
         assert 0 < mask.sum() < grid.n_xnodes
