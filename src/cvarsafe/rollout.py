@@ -11,10 +11,11 @@ Records are time-major: ``RolloutBatch.states`` has shape
 ``shocks`` (horizon, kept) and ``y_prime`` (num,), so recorded rollout i is
 ``states[:, i]``. ``rollout(..., keep=k)`` records only the first
 ``kept = min(num, k)`` trajectories, but every rollout's ``y_prime``.
-Rollouts advance in blocks of ``_BLOCK`` trajectories through one reused,
-block-sized, time-major scratch set, so every step's lookups, sampling and
-dynamics read and write contiguous cache-resident rows, and a block below
-``kept`` copies its leading columns into the records. A block draws its
+Rollouts advance in blocks of ``_BLOCK`` trajectories. A block's state
+and running maximum are plain ``(m, state_dim)`` and ``(m,)`` arrays that
+each step replaces, so every step's lookups, sampling and dynamics read and
+write contiguous cache-resident rows, and a block below ``kept`` writes
+each step's leading columns straight into the records. A block draws its
 (m, horizon) uniforms from the one generator seeded with ``seed``, in
 order, so the blocks' draws laid end to end are the rows of a single
 (num, horizon) draw matrix: row l is a deterministic function of
@@ -134,32 +135,24 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
     acts = np.empty((horizon, kept))
     shocks = np.empty((horizon, kept))
     y_prime = np.empty(n)
-    block = min(_BLOCK, n)  # one scratch set, reused by every block
-    bx = np.empty((horizon + 1, block, dim))
-    bz = np.empty((horizon + 1, block))
-    bu = np.empty((horizon, block))
-    bw = np.empty((horizon, block))
-    bx[0] = policy.x0
-    bz[0] = 0.0
     rng = np.random.default_rng(int(seed))
     for lo in range(0, n, _BLOCK):
         m = min(_BLOCK, n - lo)
+        c = max(0, min(m, kept - lo))  # leading columns still to record
         draws = rng.random((m, horizon))
+        x = np.full((m, dim), policy.x0)
+        z = np.zeros(m)
         for t in range(horizon):
-            x, z = bx[t, :m], bz[t, :m]
-            u, w = bu[t, :m], bw[t, :m]
             ix = grid.nearest_x_index(x)
             jz = grid.nearest_z_index(z)
-            u[:] = grid.action_axis[policy.action_idx[t, ix, jz]]
-            w[:] = _sample_disturbances(model, x, u, draws[:, t])
-            bx[t + 1, :m] = model.dynamics(x, u, w)
-            bz[t + 1, :m] = np.maximum(z, model.stage_cost(x, u))
-        y = np.maximum(bz[horizon, :m], model.terminal_cost(bx[horizon, :m]))
-        y_prime[lo:lo + m] = y
-        c = min(m, kept - lo)  # leading columns still to record
-        if c > 0:
-            for record, scratch in zip((states, zs, acts, shocks), (bx, bz, bu, bw)):
-                record[:, lo:lo + c] = scratch[:, :c]
+            u = grid.action_axis[policy.action_idx[t, ix, jz]]
+            w = _sample_disturbances(model, x, u, draws[:, t])
+            for record, step in zip((states, zs, acts, shocks), (x, z, u, w)):
+                record[t, lo:lo + c] = step[:c]
+            x, z = model.dynamics(x, u, w), np.maximum(z, model.stage_cost(x, u))
+        states[horizon, lo:lo + c] = x[:c]
+        zs[horizon, lo:lo + c] = z[:c]
+        y_prime[lo:lo + m] = np.maximum(z, model.terminal_cost(x))
     return RolloutBatch(states, zs, acts, shocks, y_prime)
 
 

@@ -2,6 +2,8 @@
 
 ``exact_policy_cvar`` and ``exact_optimal_cvar_history`` enumerate a
 ``TinyInstance`` under a fixed policy and under history-dependent policies;
+``exact_optimal_cvar_loop`` scores every augmented-state policy one at a
+time, the scalar reference of ``oracle.exact_optimal_cvar``;
 ``q_pump_piecewise`` is the pump flow in its original four-case form, an
 independent cross-check of ``models.q_pump``.
 """
@@ -25,6 +27,27 @@ def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
         return policy.get((t, xi, z)) if hasattr(policy, "get") else policy(t, xi, z)
 
     return cvar_dual(_y_distribution(inst, get_action), alpha)[0]
+
+
+def exact_optimal_cvar_loop(inst: TinyInstance, alpha):
+    """``(value, policy)``: the first policy, in ``itertools.product`` order
+    over the reachable (t, x, z) slots, of least CVaR, each policy walked by
+    ``_y_distribution`` and scored by ``cvar_dual``."""
+    layers = inst.reachable_nodes()
+    slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
+    slot_of = {node: i for i, node in enumerate(slots)}
+
+    best_value = np.inf
+    best_assignment = None
+    for assignment in itertools.product(range(inst.n_actions), repeat=len(slots)):
+        def get_action(t, xi, z, _a=assignment):
+            return _a[slot_of[(t, xi, z)]]
+
+        value = cvar_dual(_y_distribution(inst, get_action), alpha)[0]
+        if value < best_value:
+            best_value = value
+            best_assignment = assignment
+    return float(best_value), dict(zip(slots, best_assignment))
 
 
 def exact_optimal_cvar_history(inst: TinyInstance, alpha) -> float:

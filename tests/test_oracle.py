@@ -10,9 +10,12 @@ from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
                       TinyInstance, exact_optimal_cvar, exchange_identity_value,
                       generate_corpus, load_corpus, make_stormwater_model,
                       random_instance, save_corpus)
+from cvarsafe import oracle
+from cvarsafe.cli import _ORACLE_ALPHAS, _default_corpus
 from cvarsafe.oracle import _excess_dp
 from pointwise import expectation_dp
-from references import exact_optimal_cvar_history, exact_policy_cvar
+from references import (exact_optimal_cvar_history, exact_optimal_cvar_loop,
+                        exact_policy_cvar)
 
 
 def two_state_instance():
@@ -145,6 +148,34 @@ class TestExactOptimalCvar:
                 res = exact_optimal_cvar(inst, alpha)
                 assert abs(res.value - res.exchange_value) <= 1e-9
                 assert res.exchange_value == exchange_identity_value(inst, alpha)
+
+    @pytest.mark.parametrize("corpus", ["shipped", 11, 12])
+    def test_matches_per_policy_loop(self, corpus):
+        instances = (_default_corpus() if corpus == "shipped"
+                     else generate_corpus(corpus, 40))
+        for inst in instances:
+            for alpha in _ORACLE_ALPHAS:
+                res = exact_optimal_cvar(inst, alpha)
+                assert (res.value, res.policy) == exact_optimal_cvar_loop(inst, alpha)
+
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        instances = [inst for inst in generate_corpus(5, 30)
+                     if inst.policy_count() > 5]
+        # Some runs cross chunks and end on a partial one.
+        assert any(inst.policy_count() % 5 for inst in instances)
+        whole = [exact_optimal_cvar(inst, 0.25) for inst in instances]
+        monkeypatch.setattr(oracle, "_CHUNK", 5)
+        assert [exact_optimal_cvar(inst, 0.25) for inst in instances] == whole
+
+    def test_more_policies_than_one_chunk(self):
+        rng = np.random.default_rng(3)
+        while True:
+            inst = random_instance(rng, max_policies=200_000)
+            if inst.policy_count() > oracle._CHUNK:
+                break
+        for alpha in (0.05, 1.0):
+            res = exact_optimal_cvar(inst, alpha)  # checks the exchange identity
+            assert res.value == exact_policy_cvar(inst, res.policy, alpha)
 
     def test_budget_error(self):
         rng = np.random.default_rng(4)
