@@ -158,6 +158,14 @@ class TestExactOptimalCvar:
                 res = exact_optimal_cvar(inst, alpha)
                 assert (res.value, res.policy) == exact_optimal_cvar_loop(inst, alpha)
 
+    @pytest.mark.parametrize("seed, i", [(15, 6), (21, 28)])
+    def test_rounding_level_ties_resolve_like_the_loop(self, seed, i):
+        # Optimal policies whose values differ by one ulp, ordered one way by
+        # the array scores and the other way by the scalar path.
+        inst = generate_corpus(seed, i + 1)[i]
+        res = exact_optimal_cvar(inst, 1.0)
+        assert (res.value, res.policy) == exact_optimal_cvar_loop(inst, 1.0)
+
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         instances = [inst for inst in generate_corpus(5, 30)
                      if inst.policy_count() > 5]
