@@ -6,24 +6,22 @@ listed states. Everything about it can be enumerated:
 
   * the distribution of the maximum cost under a fixed policy,
   * the best deterministic augmented-state policy by enumerating every
-    action assignment on the reachable (t, x, z) nodes
+    action assignment on the reachable (t, x, z) nodes, a policy's slots
     (``exact_optimal_cvar``), cross-checked against the dual-parameter
     exchange route min_s [ s + min_pi E[(Y - s)+] / alpha ].
 
-The enumeration is vectorized over policies: a chunk of up to ``_CHUNK``
-policies, numbered in ``itertools.product`` order over the reachable nodes,
-pushes its probability mass forward as one ``(chunk,)`` vector per node,
-and each policy's pmf over the terminal values is scored with the dual form
-of CVaR (Rockafellar & Uryasev 2000). A chunk holds at most a few vectors
-per reachable node and a ``(chunk, n_y)`` pmf matrix, whatever the policy
-count. The policies whose array score is within a relative
-``_NEAR_RTOL`` of the best are scored again by the scalar path
-(``_y_distribution`` and ``cvar.cvar_dual``), which picks the winner among
-rounding-level ties and gives the value reported.
+Policies that differ only at slots none of them reaches walk the same
+disturbance paths, so each class of them has one canonical member, the one
+taking action 0 at every slot it does not reach, and it comes first in
+``itertools.product`` order. The enumeration walks the canonical policies
+only, one at a time on the scalar path (``_y_distribution`` and
+``cvar.cvar_dual``), and keeps the first of least value: the same policy
+and value as walking all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cvar import Pmf, check_prob_rows, cvar_dual, minimize_dual
+from .cvar import Pmf, check_prob_rows, cvar_dual
 from .grids import AugmentedGrid, checked_axis
 from .models import SystemModel
 
@@ -49,16 +47,6 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-9
-
-# Policies scored together by ``exact_optimal_cvar``: a chunk holds one
-# float64 vector of this length per reachable node and per terminal value,
-# a few MB on any instance within the default budget.
-_CHUNK = 1 << 15
-
-# Relative gap within which an array score counts as near the best one. A
-# score and the scalar-path value of the same policy are sums and products
-# of nonnegative terms, so they differ by a relative few hundred ulp at most.
-_NEAR_RTOL = 1e-9
 
 
 class OracleError(RuntimeError):
@@ -266,11 +254,12 @@ def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
     return Pmf(list(out.keys()), list(out.values()))
 
 
-def _excess_dp(inst: TinyInstance, s: float) -> float:
+def _excess_dp(inst: TinyInstance, s):
     """min over policies of E[max(Y - s, 0)], solved exactly on the
-    reachable (x, z) nodes by backward induction."""
+    reachable (x, z) nodes by backward induction; ``s`` is a float or an
+    array of them, solved together elementwise."""
     layers = inst.reachable_nodes()
-    value = {(xi, z): max(max(float(inst.terminal[xi]), z) - s, 0.0)
+    value = {(xi, z): np.maximum(max(float(inst.terminal[xi]), z) - s, 0.0)
              for xi, z in layers[inst.horizon]}
     for t in range(inst.horizon - 1, -1, -1):
         prev = {}
@@ -283,8 +272,7 @@ def _excess_dp(inst: TinyInstance, s: float) -> float:
                     p = float(inst.probs[xi, ai, wi])
                     if p > 0.0:
                         q += p * value[(int(inst.next_idx[xi, ai, wi]), zn)]
-                if q < best:
-                    best = q
+                best = np.minimum(best, q)
             prev[(xi, z)] = best
         value = prev
     return value[(inst.x0, 0.0)]
@@ -294,10 +282,10 @@ def exchange_identity_value(inst: TinyInstance, alpha) -> float:
     """min over the s breakpoints of s + min_pi E[max(Y - s, 0)] / alpha.
 
     The objective is concave between adjacent possible Y values, so scanning
-    the breakpoints is exact.
+    the breakpoints is exact. One backward pass solves every breakpoint.
     """
-    a = float(alpha)
-    return min(s + _excess_dp(inst, s) / a for s in inst.s_breakpoints())
+    s = np.array(inst.s_breakpoints())
+    return float(np.min(s + _excess_dp(inst, s) / float(alpha)))
 
 
 @dataclass(frozen=True)
@@ -311,14 +299,18 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
                        budget: int = 1_000_000) -> OracleResult:
     """Minimum CVaR over every deterministic augmented-state policy.
 
-    Enumerates all action assignments on the reachable (t, x, z) nodes,
-    ``_CHUNK`` policies per array pass, and takes the first best one in
-    ``itertools.product`` order; memory per pass is bounded by the chunk,
-    not by the policy count. The reported value is that policy's CVaR from
-    the scalar path, so it equals a fixed-policy evaluation of ``policy``
-    bit for bit. Cross-checks against the exchange-identity route; a
+    Returns the first policy of least CVaR in ``itertools.product`` order
+    over the reachable (t, x, z) slots, the one a walk of every policy by
+    ``_y_distribution`` scored by ``cvar_dual`` would pick. Policies that
+    differ only at slots none of them reaches get the same value bit for
+    bit, and the first of each such class takes action 0 at every slot it
+    does not reach. So only these canonical policies are walked
+    (``_canonical_policies``), and the first strict minimum among them is
+    the answer; the reported value equals a fixed-policy evaluation of
+    ``policy``. Cross-checks against the exchange-identity route; a
     disagreement beyond 1e-9 raises ``OracleError``. Raises
-    ``OracleSizeError`` when the enumeration would exceed ``budget``.
+    ``OracleSizeError`` when the full enumeration, ``policy_count()``
+    policies, would exceed ``budget``.
     """
     layers = inst.reachable_nodes()
     slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
@@ -327,32 +319,13 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
         raise OracleSizeError(
             f"{count} policies exceed the enumeration budget {budget}")
 
-    # Array scores agree with the scalar path only up to rounding, so the
-    # near-best policies are scored again by that path, in index order; the
-    # first least value picks the policy a scalar scan of all would. A
-    # policy's signature, its actions at the slots it reaches, fixes its
-    # scalar path, so only the first policy of each signature is rescored.
-    near = []  # (array score, index)
-    for lo in range(0, count, _CHUNK):
-        index = np.arange(lo, min(count, lo + _CHUNK))
-        digits = np.array(_policy_digits(index, inst.n_actions, len(slots)))
-        scores, visited = _chunk_scores(inst, layers, digits, alpha)
-        pick = np.flatnonzero(scores <= scores.min() * (1.0 + _NEAR_RTOL))
-        signature = np.where(visited[:, pick], digits[:, pick], -1)
-        order = np.lexsort(signature)  # stable: index order within a signature
-        ranked = signature[:, order]
-        first = np.ones(pick.size, dtype=bool)
-        first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-        near += [(scores[i], int(index[i])) for i in pick[np.sort(order[first])]]
-    cutoff = min(score for score, _ in near) * (1.0 + _NEAR_RTOL)
     best_value, policy = np.inf, None
-    for score, i in near:
-        if score <= cutoff:
-            assignment = dict(zip(slots, _policy_digits(i, inst.n_actions, len(slots))))
-            value = cvar_dual(_y_distribution(
-                inst, lambda *node, _a=assignment: _a.get(node)), alpha)[0]
-            if value < best_value:
-                best_value, policy = value, assignment
+    for actions in _canonical_policies(inst, layers):
+        assignment = dict(zip(slots, actions))
+        value = cvar_dual(_y_distribution(
+            inst, lambda *node: assignment.get(node)), alpha)[0]
+        if value < best_value:
+            best_value, policy = value, assignment
 
     exchange = exchange_identity_value(inst, alpha)
     if abs(best_value - exchange) > IDENTITY_TOL:
@@ -362,62 +335,28 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
     return OracleResult(float(best_value), policy, float(exchange))
 
 
-def _policy_digits(index, n_actions: int, n_slots: int):
-    """Per-slot action indices of policy ``index`` in ``itertools.product``
-    order (the last slot's digit varies fastest); ``index`` is an int or an
-    integer array, and the digits are of the same kind."""
-    digits = []
-    for _ in range(n_slots):
-        index, digit = divmod(index, n_actions)
-        digits.append(digit)
-    return tuple(reversed(digits))
+def _canonical_policies(inst: TinyInstance, layers):
+    """Yield the canonical policies as per-slot action tuples, slots in the
+    order of ``layers[:horizon]``, in ``itertools.product`` order.
 
-
-def _chunk_scores(inst: TinyInstance, layers, digits: np.ndarray, alpha):
-    """``(scores, visited)`` of a chunk of policies, given their action
-    digits ``(n_slots, chunk)``: each policy's CVaR of the maximum cost, and
-    whether it reaches each slot's node with positive probability.
-
-    Pushes each policy's probability mass forward over the reachable nodes,
-    one ``(chunk,)`` vector per node, collects it on the distinct terminal
-    values y = max(z, terminal[x]), and scores the resulting pmf rows with
-    the dual form min_s s + E[max(Y - s, 0)] / alpha over those values,
-    which hold every policy's minimizing atom. A policy's scalar-path value
-    depends only on its digits at the slots it reaches.
+    A canonical policy takes action 0 at every slot it does not reach with
+    positive probability. Layer by layer, every action is offered at the
+    nodes reached so far and only action 0 at the others; the actions taken
+    at layer t fix the nodes reached at layer t + 1.
     """
-    chunk = digits.shape[1]
-    mass = {(inst.x0, 0.0): (np.ones(chunk), np.ones(chunk, dtype=bool))}
-    visited = []
-    slot = iter(digits)
-    for t in range(inst.horizon):
-        nxt: Dict[Tuple[int, float], tuple] = {}
-        for xi, z in layers[t]:
-            (m, reached), digit = mass.pop((xi, z)), next(slot)
-            visited.append(reached)
-            for ai in range(inst.n_actions):
-                chosen = digit == ai
-                m_a, r_a = np.where(chosen, m, 0.0), reached & chosen
-                zn = max(z, float(inst.cost[xi, ai]))
-                for wi in range(inst.n_atoms):
-                    p = float(inst.probs[xi, ai, wi])
-                    if p > 0.0:
-                        key = (int(inst.next_idx[xi, ai, wi]), zn)
-                        if key in nxt:
-                            m_next, r_next = nxt[key]
-                            m_next += m_a * p
-                            r_next |= r_a
-                        else:
-                            nxt[key] = (m_a * p, r_a.copy())
-        mass = nxt
-    ys = sorted({max(z, float(inst.terminal[xi])) for xi, z in mass})
-    column = {y: j for j, y in enumerate(ys)}
-    pmf = np.zeros((chunk, len(ys)))
-    for (xi, z), (m, _) in mass.items():
-        pmf[:, column[max(z, float(inst.terminal[xi]))]] += m
-    ys = np.array(ys)
-    excess = np.maximum(ys[None, :] - ys[:, None], 0.0) @ pmf.T
-    objective, _ = minimize_dual(ys[:, None], excess, alpha)
-    return objective.min(axis=0), np.array(visited)
+    def extend(t, reached, prefix):
+        if t == inst.horizon:
+            yield prefix
+            return
+        options = [range(inst.n_actions) if node in reached else (0,)
+                   for node in layers[t]]
+        for actions in itertools.product(*options):
+            nxt = {(int(inst.next_idx[xi, ai, wi]), max(z, float(inst.cost[xi, ai])))
+                   for (xi, z), ai in zip(layers[t], actions) if (xi, z) in reached
+                   for wi in range(inst.n_atoms) if inst.probs[xi, ai, wi] > 0.0}
+            yield from extend(t + 1, nxt, prefix + actions)
+
+    return extend(0, {(inst.x0, 0.0)}, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests of the exact tiny-instance verifiers themselves."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
                       random_instance, save_corpus)
 from cvarsafe import oracle
 from cvarsafe.cli import _ORACLE_ALPHAS, _default_corpus
-from cvarsafe.oracle import _excess_dp
+from cvarsafe.oracle import _excess_dp, _y_distribution
 from pointwise import expectation_dp
 from references import (exact_optimal_cvar_history, exact_optimal_cvar_loop,
                         exact_policy_cvar)
@@ -166,21 +167,13 @@ class TestExactOptimalCvar:
         res = exact_optimal_cvar(inst, 1.0)
         assert (res.value, res.policy) == exact_optimal_cvar_loop(inst, 1.0)
 
-    def test_chunks_do_not_change_the_result(self, monkeypatch):
-        instances = [inst for inst in generate_corpus(5, 30)
-                     if inst.policy_count() > 5]
-        # Some runs cross chunks and end on a partial one.
-        assert any(inst.policy_count() % 5 for inst in instances)
-        whole = [exact_optimal_cvar(inst, 0.25) for inst in instances]
-        monkeypatch.setattr(oracle, "_CHUNK", 5)
-        assert [exact_optimal_cvar(inst, 0.25) for inst in instances] == whole
-
-    def test_more_policies_than_one_chunk(self):
+    def test_59049_policy_instance(self):
         rng = np.random.default_rng(3)
         while True:
             inst = random_instance(rng, max_policies=200_000)
-            if inst.policy_count() > oracle._CHUNK:
+            if inst.policy_count() > 1 << 15:
                 break
+        assert inst.policy_count() == 59049
         for alpha in (0.05, 1.0):
             res = exact_optimal_cvar(inst, alpha)  # checks the exchange identity
             assert res.value == exact_policy_cvar(inst, res.policy, alpha)
@@ -235,6 +228,30 @@ class TestReachability:
         assert layers[0] == [(0, 0.0)]
         nodes = sum(len(l) for l in layers[:-1])
         assert inst.policy_count() == inst.n_actions ** nodes
+
+    @pytest.mark.parametrize("corpus", ["shipped", 11])
+    def test_canonical_policies_are_first_of_each_signature(self, corpus):
+        # Brute force: walk every policy in itertools.product order and keep
+        # the first of each signature, its actions at the slots it reaches.
+        instances = (_default_corpus() if corpus == "shipped"
+                     else generate_corpus(corpus, 40))
+        for inst in instances:
+            layers = inst.reachable_nodes()
+            slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
+            first = {}
+            for actions in itertools.product(range(inst.n_actions), repeat=len(slots)):
+                assignment = dict(zip(slots, actions))
+                reached = set()
+
+                def get_action(*node, _a=assignment):
+                    reached.add(node)
+                    return _a[node]
+
+                _y_distribution(inst, get_action)
+                signature = tuple(a if slot in reached else -1
+                                  for slot, a in zip(slots, actions))
+                first.setdefault(signature, actions)
+            assert list(oracle._canonical_policies(inst, layers)) == list(first.values())
 
 
 class TestSerialization:
