@@ -12,8 +12,10 @@ weight per distinct next node of each (x, u), and shared across a whole
 dual-parameter sweep.
 
 One Bellman step over every (state node, running-max node) pair is the hot
-loop of the solver; ``sweep_kernel`` runs it in numpy in the tables' own x-major
-order. Below the stage cost the expectation is interpolated once at c(x, u).
+loop of the solver; ``sweep_kernel`` runs it in numpy on z-major
+(n_z, n_u, n_x) work arrays, reading the (x, u) tables, which are stored
+u-major, without copies. Below the stage cost the expectation is
+interpolated once at c(x, u).
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class TransitionTables:
     slot. Each row is padded to ``k`` slots, the most any row needs, by
     copies of its first node with weight 0. The slots form one group of
     probability 1 in the kernel's (group, slot) shapes, so ``sweep_kernel``
-    gathers ``J_next`` once per slot; they are stored slot-major behind
-    those shapes, so every ``[:, :, 0, j]`` slice is C-contiguous.
+    gathers ``J_next`` once per slot. Every table is stored u-major behind
+    its shape: the transpose of each (x, u) slice, such as
+    ``corner_idx[:, :, 0, j].T`` or ``cost.T``, is C-contiguous (n_u, n_x).
 
     Against the unmerged (atom, corner) sum, a merged backup differs only in
     rounding: per action and step by at most
@@ -68,8 +71,9 @@ def merge_entries(entries, shape):
     per row, into per-row slots: an entry adds its weight to the row's slot
     of the same node, or opens the row's next slot, unless its weight is 0.
     Returns ``(corner_idx, corner_wt)`` of shape ``shape + (1, k)``, stored
-    slot-major, each row padded to ``k`` by its first node with weight 0
-    (node 0 for a row without entries)."""
+    in reverse axis order (each ``[..., 0, j].T`` slice C-contiguous), each
+    row padded to ``k`` by its first node with weight 0 (node 0 for a row
+    without entries; ``k`` is 0 when no entry has weight)."""
     cols, wts = [], []  # one (node, summed weight) array pair per slot; -1: empty
     for node, wt in entries:
         pending = wt > 0.0
@@ -85,12 +89,12 @@ def merge_entries(entries, shape):
             np.add(wts[j], wt, out=wts[j], where=hit)
             pending &= ~hit
             j += 1
-    corner_idx = np.empty((1, len(cols)) + shape, np.int64)
-    corner_wt = np.empty((1, len(cols)) + shape)
+    corner_idx = np.empty((len(cols), 1) + shape[::-1], np.int64)
+    corner_wt = np.empty((len(cols), 1) + shape[::-1])
     for j, (col, wt) in enumerate(zip(cols, wts)):
-        np.copyto(corner_idx[0, j], np.where(col < 0, np.maximum(cols[0], 0), col))
-        corner_wt[0, j] = wt
-    return corner_idx.transpose(2, 3, 0, 1), corner_wt.transpose(2, 3, 0, 1)
+        corner_idx[j, 0] = np.where(col < 0, np.maximum(cols[0], 0), col).T
+        corner_wt[j, 0] = wt.T
+    return corner_idx.T, corner_wt.T
 
 
 def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> TransitionTables:
@@ -149,8 +153,10 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
     if not ((terminal >= 0.0) & (terminal <= model.c_bar)).all():
         raise ValueError("terminal costs must lie in [0, c_bar]")
-    return TransitionTables(cost, np.ones((n_x, n_u, 1)), corner_idx, corner_wt,
-                            cz_idx.astype(np.int64), cz_frac, terminal)
+    cost, cz_idx, cz_frac = (np.ascontiguousarray(a.T).T  # u-major
+                             for a in (cost, cz_idx.astype(np.int64), cz_frac))
+    return TransitionTables(cost, np.ones((1, n_u, n_x)).T, corner_idx, corner_wt,
+                            cz_idx, cz_frac, terminal)
 
 
 def backend() -> str:
@@ -166,37 +172,50 @@ def sweep_kernel(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_
     weights groups of ``n_s`` (node, weight) slots in ``corner_idx`` and
     ``corner_wt`` (n_x, n_u, n_g, n_s). The merged operator is one group;
     the unmerged one has a group per atom and a slot per corner. One gather
-    of ``J_next`` rows per (group, slot) builds the x-major (n_x, n_u, n_z)
-    expectation ``q`` of ``J_next`` at z' = z, the backup wherever
-    z >= c(x, u). Below c(x, u) every z continues from z' = c(x, u), and the
-    expectation is linear in ``J_next``, so the backup there is ``q``
-    interpolated at c. Entries at or above c are bit-identical to a scalar
-    loop that interpolates inside every (group, slot) term; the others
-    differ from it by at most ``2 * gamma(n_g + n_s + 3) * max|J_next|`` per
-    action, with ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit
-    total weight. Returns the minimized values and the action indices, both
-    (n_x, n_z): the lowest index whose backup is within ``TIE_TOL`` of the
-    minimum.
+    of ``J_next`` columns per (group, slot) builds the z-major
+    (n_z, n_u, n_x) expectation ``q`` of ``J_next`` at z' = z, the backup
+    wherever z >= c(x, u); tables stored u-major (each (x, u) slice's
+    transpose C-contiguous) are read without copies. Below c(x, u) every z
+    continues from z' = c(x, u), and the expectation is linear in
+    ``J_next``, so the backup there is ``q`` interpolated at c. Entries at
+    or above c are bit-identical to a scalar loop that interpolates inside
+    every (group, slot) term; the others differ from it by at most
+    ``2 * gamma(n_g + n_s + 3) * max|J_next|`` per action, with
+    ``gamma(k) = k u / (1 - k u)``, ``u = 2**-53`` and unit total weight.
+    Returns the minimized values and the action indices, both (n_x, n_z)
+    and C-contiguous: the lowest index whose backup is within ``TIE_TOL``
+    of the minimum.
     """
     n_z = J_next.shape[1]
-    q = np.zeros(cost.shape + (n_z,))
-    v = np.empty_like(q)
+    n_x, n_u = cost.shape
+    n_g, n_s = corner_idx.shape[2:]
+    JT = np.ascontiguousarray(J_next.T)
+    # With no (group, slot) term every q is 0; otherwise the first slot of
+    # the first group writes q, and later groups sum in v.
+    q = (np.empty if n_g and n_s else np.zeros)((n_z, n_u, n_x))
     buf = np.empty_like(q)
-    for iw in range(probs.shape[2]):
-        v.fill(0.0)
-        for c in range(corner_idx.shape[3]):
+    v = np.empty_like(q) if n_g > 1 else None
+    for g in range(n_g if n_s else 0):
+        acc = v if g else q
+        for j in range(n_s):
+            out = buf if j else acc
             # In range by construction; mode "raise" would copy through a buffer.
-            np.take(J_next, corner_idx[:, :, iw, c], axis=0, out=buf, mode="clip")
-            buf *= corner_wt[:, :, iw, c, None]
-            v += buf
-        v *= probs[:, :, iw, None]
-        q += v
-    lo = np.take_along_axis(q, cz_idx[..., None], axis=2)
-    hi = np.take_along_axis(q, np.minimum(cz_idx + 1, n_z - 1)[..., None], axis=2)
-    np.copyto(q, (1.0 - cz_frac[..., None]) * lo + cz_frac[..., None] * hi,
-              where=z_axis < cost[..., None])
-    best = q.min(axis=1)  # np.argmin along axis 1 would copy q
-    return best, np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)
+            np.take(JT, corner_idx[:, :, g, j].T, axis=1, out=out, mode="clip")
+            out *= corner_wt[:, :, g, j].T
+            if j:
+                acc += buf
+        acc *= probs[:, :, g].T
+        if g:
+            q += acc
+    m = n_u * n_x
+    at = cz_idx.T * m + np.arange(m).reshape(n_u, n_x)  # flat index of q at c
+    lo = q.take(at)
+    hi = q.take(np.minimum(cz_idx.T + 1, n_z - 1) * m + at % m)
+    np.copyto(q, (1.0 - cz_frac.T) * lo + cz_frac.T * hi,
+              where=z_axis[:, None, None] < cost.T)
+    best = q.min(axis=1)
+    action = np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)
+    return np.ascontiguousarray(best.T), np.ascontiguousarray(action.T)
 
 
 def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,

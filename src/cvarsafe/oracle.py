@@ -251,7 +251,10 @@ def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
             p = float(inst.probs[xi, ai, wi])
             if p > 0.0:
                 stack.append((t + 1, int(inst.next_idx[xi, ai, wi]), zn, pr * p))
-    return Pmf(list(out.keys()), list(out.values()))
+    ys = sorted(out)
+    probs = np.array([out[y] for y in ys])
+    check_prob_rows(probs, "atom")
+    return Pmf._merged(np.array(ys), probs)
 
 
 def _excess_dp(inst: TinyInstance, s):

@@ -20,6 +20,7 @@ worker count.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,11 +39,13 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     ``v0`` of shape (n_s, n_xnodes), row i at ``grid.s_axis[i]``.
 
     The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
-    ``threads`` bounds the worker count; any count yields identical output.
-    The sweep prints nothing: ``on_solve(s, values, action_idx)``, when
-    given, is called from each solve's worker thread as it finishes with the
-    tables ``value_iteration`` returned, for a caller to report progress or
-    keep them; ``sweep`` drops them.
+    ``threads`` bounds the number of solves run at once: the calling thread
+    and ``threads - 1`` helper threads each take the next s until none is
+    left. Any count yields identical output. The sweep prints nothing:
+    ``on_solve(s, values, action_idx)``, when given, is called from the
+    thread that solved ``s`` as it finishes, with the tables
+    ``value_iteration`` returned, for a caller to report progress or keep
+    them; ``sweep`` drops them.
     """
     if grid.z_axis[0] != 0.0:
         raise ValueError("sweep requires a z axis starting at 0")
@@ -56,12 +59,28 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
         if on_solve is not None:
             on_solve(s_values[i], values, action_idx)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(solve_one, range(s_values.size)))
-    else:
-        for i in range(s_values.size):
+    todo = iter(range(s_values.size))
+    lock = threading.Lock()
+
+    def solve_rest():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
             solve_one(i)
+
+    # The calling thread solves beside threads - 1 helpers rather than
+    # waiting for threads workers. As many solves run at once, but glibc
+    # keeps what a thread frees in that thread's own arena, so each extra
+    # thread holds about one solve's memory (4 MB on the coarse baseline)
+    # after the sweep, out of reach of the caller's later work.
+    helpers = int(threads) - 1
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+        futures = [pool.submit(solve_rest) for _ in range(helpers)]
+        solve_rest()
+        for future in futures:
+            future.result()
     return v0
 
 

@@ -5,7 +5,9 @@
 ``exact_optimal_cvar_loop`` scores every augmented-state policy one at a
 time, the scalar reference of ``oracle.exact_optimal_cvar``;
 ``q_pump_piecewise`` is the pump flow in its original four-case form, an
-independent cross-check of ``models.q_pump``.
+independent cross-check of ``models.q_pump``; ``sweep_kernel_xmajor`` is the
+Bellman step in the x-major order that ``dp.sweep_kernel`` replaced, which
+it must match bit for bit.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from typing import Dict
 import numpy as np
 
 from cvarsafe import Pmf, StormwaterParams, TinyInstance, cvar_dual
+from cvarsafe.dp import TIE_TOL
 from cvarsafe.oracle import _y_distribution
 
 
@@ -111,3 +114,28 @@ def q_pump_piecewise(x, u, params: StormwaterParams):
     if lo <= x2 <= hi and u >= 0.0:
         return -startup(x2)
     return -u * p.q_max
+
+
+def sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx, corner_wt,
+                        cz_idx, cz_frac):
+    """``dp.sweep_kernel`` with its work in x-major (n_x, n_u, n_z) arrays:
+    each term goes through the same operations in the same order, so values
+    and actions are bit-identical, whatever the tables' layout."""
+    n_z = J_next.shape[1]
+    q = np.zeros(cost.shape + (n_z,))
+    v = np.empty_like(q)
+    buf = np.empty_like(q)
+    for iw in range(probs.shape[2]):
+        v.fill(0.0)
+        for c in range(corner_idx.shape[3]):
+            np.take(J_next, corner_idx[:, :, iw, c], axis=0, out=buf, mode="clip")
+            buf *= corner_wt[:, :, iw, c, None]
+            v += buf
+        v *= probs[:, :, iw, None]
+        q += v
+    lo = np.take_along_axis(q, cz_idx[..., None], axis=2)
+    hi = np.take_along_axis(q, np.minimum(cz_idx + 1, n_z - 1)[..., None], axis=2)
+    np.copyto(q, (1.0 - cz_frac[..., None]) * lo + cz_frac[..., None] * hi,
+              where=z_axis < cost[..., None])
+    best = q.min(axis=1)
+    return best, np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)

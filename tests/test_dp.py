@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, Pmf, SystemModel, make_stormwater_model,
-                      precompute_transitions, smoke_disturbance, value_iteration)
+from cvarsafe import (AugmentedGrid, Pmf, SystemModel, design_params,
+                      make_stormwater_model, precompute_transitions,
+                      smoke_disturbance, value_iteration)
 from cvarsafe.artifacts import write_tables_csv
 from cvarsafe.dp import TIE_TOL, merge_entries, sweep_kernel
 from cvarsafe.grids import locate_batch
 from pointwise import backup_q, bellman_min, interp_xz, unmerged_transitions
+from references import sweep_kernel_xmajor
 
 
 def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
@@ -554,11 +556,12 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_merged_operator_layout(self, law):
-        # One group of k contiguous slots; per row, nonnegative weights
-        # summing to 1 within rounding on distinct nodes, and no more slots
-        # than (atom, corner) entries. The laws' probabilities sum to 1 in
-        # floating point, each corner's (1 - f) + f is 1 within u per
-        # dimension, and each product and sum rounds once.
+        # One group of k slots, each (x, u) table stored u-major: the
+        # transpose of every (x, u) slice is C-contiguous. Per row,
+        # nonnegative weights summing to 1 within rounding on distinct
+        # nodes, and no more slots than (atom, corner) entries. The laws'
+        # probabilities sum to 1 in floating point, each corner's (1 - f) + f
+        # is 1 within u per dimension, and each product and sum rounds once.
         model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (5, 4), 3, 3, 3)
         trans = precompute_transitions(model, grid)
@@ -567,9 +570,12 @@ class TestSweepKernel:
         assert k <= n_w * 4
         assert np.array_equal(trans.probs, np.ones((20, 3, 1)))
         assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, 1, k)
+        assert trans.cost.shape == trans.cz_idx.shape == trans.cz_frac.shape == (20, 3)
         for j in range(k):
-            assert trans.corner_idx[:, :, 0, j].flags.c_contiguous
-            assert trans.corner_wt[:, :, 0, j].flags.c_contiguous
+            assert trans.corner_idx[:, :, 0, j].T.flags.c_contiguous
+            assert trans.corner_wt[:, :, 0, j].T.flags.c_contiguous
+        for table in (trans.probs[:, :, 0], trans.cost, trans.cz_idx, trans.cz_frac):
+            assert table.T.flags.c_contiguous
         wt = trans.corner_wt[:, :, 0]
         assert wt.min() >= 0.0
         eps = np.finfo(np.float64).eps
@@ -614,6 +620,60 @@ class TestSweepKernel:
             assert np.abs(values[t] - step).max() <= bound
             J, U = sweep_kernel(J, grid.z_axis, *tables)
             assert np.array_equal(U, action_idx[t])
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_zero_slot_rows(self, groups):
+        # Entries that all have weight 0 merge into no slot (k = 0), and
+        # groups of no slot hold no term: every backup is 0 and action 0
+        # wins. A first step of the same shapes with unit weights leaves
+        # freed work arrays of nonzero values behind.
+        J_next = np.array([[1.5, 2.5]])
+        z_axis = np.array([0.0, 1.0])
+        cost = np.array([[0.0, 0.5]])
+        cz_idx, cz_frac = locate_batch(z_axis, cost)
+        probs = np.full((1, 2, groups), 1.0 / groups)
+        corner_idx = np.zeros((1, 2, groups, 1), np.int64)
+        for weight in (1.0, 0.0):
+            corner_wt = np.full((1, 2, groups, 1), weight)
+            merged = merge(probs, corner_idx, corner_wt)
+            values, action_idx = sweep_kernel(J_next, z_axis, cost, *merged,
+                                              cz_idx, cz_frac)
+        assert merged[1].shape == (1, 2, 1, 0)
+        unmerged = sweep_kernel(J_next, z_axis, cost, probs, corner_idx[..., :0],
+                                corner_wt[..., :0], cz_idx, cz_frac)
+        for got_values, got_idx in ((values, action_idx), unmerged):
+            assert np.array_equal(got_values, np.zeros((1, 2)))
+            assert np.array_equal(got_idx, np.zeros((1, 2), np.int64))
+
+    @pytest.mark.parametrize("design, law", [("a", None), ("a", smoke_disturbance()),
+                                             ("b", None), ("b", smoke_disturbance())],
+                             ids=["a-default", "a-smoke", "b-default", "b-smoke"])
+    def test_bit_identical_to_xmajor_kernel(self, design, law):
+        # Every step of a solve on the coarse baseline grid, from the same
+        # J_{t+1}: the z-major kernel and the x-major reference agree bit for
+        # bit in values and actions, on the merged tables as built and on
+        # the unmerged (atom, corner) tables (one group per atom).
+        model = make_stormwater_model(design_params(design), disturbance=law)
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        trans = precompute_transitions(model, grid)
+        values, action_idx = value_iteration(0.5, model, grid, trans)
+        merged = (trans.cost, trans.probs, trans.corner_idx, trans.corner_wt,
+                  trans.cz_idx, trans.cz_frac)
+        operators = [merged]
+        if law is None:
+            operators.append((trans.cost, *unmerged_transitions(model, grid),
+                              trans.cz_idx, trans.cz_frac))
+        for tables in operators:
+            for t in range(model.horizon):
+                got = sweep_kernel(values[t + 1], grid.z_axis, *tables)
+                ref = sweep_kernel_xmajor(values[t + 1], grid.z_axis, *tables)
+                assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
+                assert np.array_equal(got[1], ref[1])
+                assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+                if tables is merged:
+                    assert np.array_equal(got[0].view(np.int64),
+                                          values[t].view(np.int64))
+                    assert np.array_equal(got[1], action_idx[t])
 
     def test_layout_changes_no_answer(self):
         # The tables as built and C-ordered copies of them give bit-identical

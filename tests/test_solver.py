@@ -1,5 +1,7 @@
 """Dual sweep, outer minimization, and safe-set extraction tests."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -48,6 +50,25 @@ class TestSweep:
               threads=threads, on_solve=lambda s, *tables: solved.append(s))
         assert sorted(solved) == [0.0, 1.0, 2.0]
         assert capfd.readouterr() == ("", "")
+
+    def test_calling_thread_solves_beside_one_helper(self):
+        # threads=2: the calling thread and one helper each solve. Each
+        # thread's first solve waits at a barrier for the other's, which
+        # only a second solving thread can meet.
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        grid = AugmentedGrid.uniform(model, (5, 5), 3, 3, 5)
+        meet = threading.Barrier(2, timeout=30)
+        solved = {}
+
+        def on_solve(s, *tables):
+            first = threading.get_ident() not in solved
+            solved.setdefault(threading.get_ident(), []).append(float(s))
+            if first:
+                meet.wait()
+
+        sweep(model, grid, threads=2, on_solve=on_solve)
+        assert threading.get_ident() in solved and len(solved) == 2
+        assert sorted(sum(solved.values(), [])) == grid.s_axis.tolist()
 
     def test_rejects_grid_without_zero_z(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
