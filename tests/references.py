@@ -118,9 +118,13 @@ def q_pump_piecewise(x, u, params: StormwaterParams):
 
 def sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx, corner_wt,
                         cz_idx, cz_frac):
-    """``dp.sweep_kernel`` with its work in x-major (n_x, n_u, n_z) arrays:
-    each term goes through the same operations in the same order, so values
-    and actions are bit-identical, whatever the tables' layout."""
+    """``dp.sweep_kernel`` with its work in x-major (n_x, n_u, n_z) arrays,
+    on tables in group form: ``probs`` (n_x, n_u, n_g) weights groups of
+    (node, weight) slots in ``corner_idx`` and ``corner_wt`` (n_x, n_u,
+    n_g, n_s). Given the kernel's slots as one group of probability 1, each
+    term goes through the same operations in the same order (and a product
+    by 1.0 is exact), so values and actions are bit-identical, whatever the
+    tables' layout."""
     n_z = J_next.shape[1]
     q = np.zeros(cost.shape + (n_z,))
     v = np.empty_like(q)

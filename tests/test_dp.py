@@ -1,6 +1,7 @@
 """Value-iteration engine tests: terminal stage, backups, argmin, tables."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,13 +68,27 @@ def single_action(args, iu):
 
 
 def merge(probs, corner_idx, corner_wt):
-    """``(probs, corner_idx, corner_wt)`` of (atom, corner) tables merged by
-    next node, as ``precompute_transitions`` merges them."""
+    """``(corner_idx, corner_wt)`` of (atom, corner) tables merged by next
+    node, as ``precompute_transitions`` merges them."""
     n_w, n_c = corner_wt.shape[2:]
-    entries = ((corner_idx[:, :, iw, c], probs[:, :, iw] * corner_wt[:, :, iw, c])
+    entries = ((corner_idx[:, :, iw, c].T, (probs[:, :, iw] * corner_wt[:, :, iw, c]).T)
                for iw in range(n_w) for c in range(n_c))
-    rows = probs.shape[:2]
-    return (np.ones(rows + (1,)), *merge_entries(entries, rows))
+    return merge_entries(entries, probs.shape[1::-1])
+
+
+def merged_args(args):
+    """Bellman-step inputs in the references' group form, ``(J_next, z_axis,
+    cost, probs, corner_idx, corner_wt, cz_idx, cz_frac)``, as kernel inputs:
+    the (atom, corner) tables merged by next node."""
+    return (*args[:3], *merge(*args[3:6]), *args[6:])
+
+
+def one_group(args):
+    """Kernel inputs in the references' group form: the slots as one group
+    of probability 1 (a product by 1.0 is exact)."""
+    J_next, z_axis, cost, corner_idx, corner_wt, cz_idx, cz_frac = args
+    return (J_next, z_axis, cost, np.ones(corner_idx.shape[:3]), corner_idx,
+            corner_wt, cz_idx, cz_frac)
 
 
 def kernel_bound(J_next, probs, corner_wt, slots=None):
@@ -118,7 +133,8 @@ def kernel_bound(J_next, probs, corner_wt, slots=None):
 
 
 def assert_matches_reference(args, values, action_idx, exact=False):
-    """``sweep_kernel``'s result for ``args`` against ``sweep_loops``.
+    """``sweep_kernel``'s result for ``args`` against ``sweep_loops`` on the
+    same slots as one group.
 
     Per action, the kernel's q (from single-action slices) equals the
     loop's bit for bit where z >= c(x, u) and lies within ``kernel_bound``
@@ -130,11 +146,11 @@ def assert_matches_reference(args, values, action_idx, exact=False):
     the other's q at its argmin). With ``exact`` (dyadic inputs, where every
     summation order is exact) everything is bit-identical.
     """
-    J_next, z_axis, cost, probs, _, corner_wt = args[:6]
+    J_next, z_axis, cost, probs, _, corner_wt = one_group(args)[:6]
     bound = kernel_bound(J_next, probs, corner_wt)
-    ref_values, ref_idx = sweep_loops(*args)
+    ref_values, ref_idx = sweep_loops(*one_group(args))
     one = [single_action(args, iu) for iu in range(cost.shape[1])]
-    ref_q = np.stack([sweep_loops(*a)[0] for a in one], axis=2)
+    ref_q = np.stack([sweep_loops(*one_group(a))[0] for a in one], axis=2)
     got_q = np.stack([sweep_kernel(*a)[0] for a in one], axis=2)
     at_node = z_axis[None, :, None] >= cost[:, None, :]  # (n_x, n_z, n_u)
     assert np.array_equal(got_q[at_node], ref_q[at_node])
@@ -162,10 +178,10 @@ def assert_merged_matches_reference(args, exact=False):
     ``args`` themselves: values within ``kernel_bound`` for the merged slot
     count, actions as in ``assert_matches_reference``, and with ``exact``
     everything bit-identical."""
-    merged_args = (*args[:3], *merge(*args[3:6]), *args[6:])
-    values, action_idx = sweep_kernel(*merged_args)
+    merged = merged_args(args)
+    values, action_idx = sweep_kernel(*merged)
     J_next, _, cost, probs, _, corner_wt = args[:6]
-    bound = kernel_bound(J_next, probs, corner_wt, merged_args[4].shape[3])
+    bound = kernel_bound(J_next, probs, corner_wt, merged[3].shape[3])
     ref_values, ref_idx = sweep_loops(*args)
     assert np.all(np.abs(values - ref_values) <= bound)
     one = [single_action(args, iu) for iu in range(cost.shape[1])]
@@ -364,6 +380,23 @@ class TestTransitionRangeChecks:
         with pytest.raises(error, match=match):
             precompute_transitions(model, line_grid())
 
+    @pytest.mark.parametrize("bad", [9.0, np.nan])
+    def test_last_atom_leaving_the_box(self, bad):
+        # Atoms are checked one at a time: a next state that leaves the box
+        # along dimension 1, or is NaN there, only for the last atom still
+        # raises, naming the dimension.
+        law = smoke_disturbance()
+        model = make_stormwater_model(disturbance=law)
+
+        def dyn(x, u, w):
+            nxt = model.dynamics(x, u, w)
+            nxt[..., 1] = np.where(np.asarray(w) == law.values[-1], bad, nxt[..., 1])
+            return nxt
+
+        grid = AugmentedGrid.uniform(model, (4, 4), 3, 3, 3)
+        with pytest.raises(RuntimeError, match="along dimension 1"):
+            precompute_transitions(dataclasses.replace(model, dynamics=dyn), grid)
+
 
 class TestValueIteration:
     def test_single_step_identity(self):
@@ -510,9 +543,11 @@ class TestSweepKernel:
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs())
     def test_matches_scalar_reference_exactly(self, case):
-        # Exact at or above the stage cost, on dyadic inputs and on ties;
-        # within kernel_bound elsewhere (see assert_matches_reference).
+        # The kernel on the merged tables against the loops on the same
+        # slots: exact at or above the stage cost, on dyadic inputs and on
+        # ties; within kernel_bound elsewhere (see assert_matches_reference).
         tie, dyadic, args = case
+        args = merged_args(args)
         values, action_idx = sweep_kernel(*args)
         assert action_idx.dtype == np.int64
         assert_matches_reference(args, values, action_idx, exact=dyadic)
@@ -538,25 +573,25 @@ class TestSweepKernel:
         J_next = np.array([[1.0], [1.0 - gap]])
         cost = np.zeros((2, 2))
         corner_idx = np.array([[0, 1], [0, 1]]).reshape(2, 2, 1, 1)
-        args = (J_next, np.zeros(1), cost, np.ones((2, 2, 1)), corner_idx,
-                np.ones((2, 2, 1, 1)), np.zeros((2, 2), np.int64), cost)
+        args = (J_next, np.zeros(1), cost, corner_idx, np.ones((2, 2, 1, 1)),
+                np.zeros((2, 2), np.int64), cost)
         values, action_idx = sweep_kernel(*args)
         assert np.all(values == 1.0 - gap)
         assert np.all(action_idx == (0 if lowest_wins else 1))
-        assert np.array_equal(sweep_loops(*args)[1], action_idx)
+        assert np.array_equal(sweep_loops(*one_group(args))[1], action_idx)
 
     def test_matches_scalar_reference_on_stormwater_grid(self):
         model = make_stormwater_model(disturbance=smoke_disturbance())
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
         values, _ = value_iteration(0.5, model, grid, trans)
-        args = (values[1], grid.z_axis, trans.cost, trans.probs,
-                trans.corner_idx, trans.corner_wt, trans.cz_idx, trans.cz_frac)
+        args = (values[1], grid.z_axis, trans.cost, trans.corner_idx,
+                trans.corner_wt, trans.cz_idx, trans.cz_frac)
         assert_matches_reference(args, *sweep_kernel(*args))
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_merged_operator_layout(self, law):
-        # One group of k slots, each (x, u) table stored u-major: the
+        # k slots behind an axis of length 1, each (x, u) table stored u-major: the
         # transpose of every (x, u) slice is C-contiguous. Per row,
         # nonnegative weights summing to 1 within rounding on distinct
         # nodes, and no more slots than (atom, corner) entries. The laws'
@@ -568,13 +603,12 @@ class TestSweepKernel:
         n_w = unmerged_transitions(model, grid)[0].shape[2]
         k = trans.corner_idx.shape[3]
         assert k <= n_w * 4
-        assert np.array_equal(trans.probs, np.ones((20, 3, 1)))
         assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, 1, k)
         assert trans.cost.shape == trans.cz_idx.shape == trans.cz_frac.shape == (20, 3)
         for j in range(k):
             assert trans.corner_idx[:, :, 0, j].T.flags.c_contiguous
             assert trans.corner_wt[:, :, 0, j].T.flags.c_contiguous
-        for table in (trans.probs[:, :, 0], trans.cost, trans.cz_idx, trans.cz_frac):
+        for table in (trans.cost, trans.cz_idx, trans.cz_frac):
             assert table.T.flags.c_contiguous
         wt = trans.corner_wt[:, :, 0]
         assert wt.min() >= 0.0
@@ -586,6 +620,22 @@ class TestSweepKernel:
             assert np.unique(live).size == live.size
             assert np.all(nodes[weights == 0.0] == nodes[0])
 
+    def test_precompute_peak_within_its_tables(self):
+        # The atoms are evaluated and merged one at a time, so building the
+        # operator on the coarse baseline grid (default law) peaks below 2.5
+        # times the bytes of the tables it returns.
+        model = make_stormwater_model()
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        tracemalloc.start()
+        try:
+            trans = precompute_transitions(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(getattr(trans, f.name).nbytes
+                     for f in dataclasses.fields(trans))
+        assert peak < 2.5 * tables
+
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_merge_of_unmerged_tables(self, law):
         # precompute_transitions merges exactly the entries that the
@@ -593,18 +643,18 @@ class TestSweepKernel:
         model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
-        _, corner_idx, corner_wt = merge(*unmerged_transitions(model, grid))
+        corner_idx, corner_wt = merge(*unmerged_transitions(model, grid))
         assert np.array_equal(corner_idx, trans.corner_idx)
         assert np.array_equal(corner_wt, trans.corner_wt)
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_merged_and_unmerged_solves_agree(self, law):
         # On the coarse baseline grid, the merged operator against the
-        # unmerged (atom, corner) tables run through the same kernel: every
-        # step within kernel_bound of the unmerged step from the same
-        # J_{t+1} (the unmerged kernel rounds and multiplies no more often
-        # than sweep_loops), and both recursions choose the same action
-        # everywhere.
+        # unmerged (atom, corner) tables run through the x-major reference
+        # (one group per atom): every step within kernel_bound of the
+        # unmerged step from the same J_{t+1} (the reference rounds and
+        # multiplies no more often than sweep_loops), and both recursions
+        # choose the same action everywhere.
         model = make_stormwater_model(disturbance=law)
         grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
         trans = precompute_transitions(model, grid)
@@ -615,18 +665,18 @@ class TestSweepKernel:
         J = values[-1]
         k = trans.corner_idx.shape[3]
         for t in range(model.horizon - 1, -1, -1):
-            step, _ = sweep_kernel(values[t + 1], grid.z_axis, *tables)
+            step, _ = sweep_kernel_xmajor(values[t + 1], grid.z_axis, *tables)
             bound = kernel_bound(values[t + 1], probs, corner_wt, k)
             assert np.abs(values[t] - step).max() <= bound
-            J, U = sweep_kernel(J, grid.z_axis, *tables)
+            J, U = sweep_kernel_xmajor(J, grid.z_axis, *tables)
             assert np.array_equal(U, action_idx[t])
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_zero_slot_rows(self, groups):
-        # Entries that all have weight 0 merge into no slot (k = 0), and
-        # groups of no slot hold no term: every backup is 0 and action 0
-        # wins. A first step of the same shapes with unit weights leaves
-        # freed work arrays of nonzero values behind.
+        # Entries that all have weight 0, in one group or two, merge into
+        # no slot (k = 0): every backup is 0 and action 0 wins, as in the
+        # reference's groups of no slot. A first step of the same shapes
+        # with unit weights leaves freed work arrays of nonzero values behind.
         J_next = np.array([[1.5, 2.5]])
         z_axis = np.array([0.0, 1.0])
         cost = np.array([[0.0, 0.5]])
@@ -638,9 +688,9 @@ class TestSweepKernel:
             merged = merge(probs, corner_idx, corner_wt)
             values, action_idx = sweep_kernel(J_next, z_axis, cost, *merged,
                                               cz_idx, cz_frac)
-        assert merged[1].shape == (1, 2, 1, 0)
-        unmerged = sweep_kernel(J_next, z_axis, cost, probs, corner_idx[..., :0],
-                                corner_wt[..., :0], cz_idx, cz_frac)
+        assert merged[0].shape == (1, 2, 1, 0)
+        unmerged = sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx[..., :0],
+                                       corner_wt[..., :0], cz_idx, cz_frac)
         for got_values, got_idx in ((values, action_idx), unmerged):
             assert np.array_equal(got_values, np.zeros((1, 2)))
             assert np.array_equal(got_idx, np.zeros((1, 2), np.int64))
@@ -652,21 +702,25 @@ class TestSweepKernel:
         # Every step of a solve on the coarse baseline grid, from the same
         # J_{t+1}: the z-major kernel and the x-major reference agree bit for
         # bit in values and actions, on the merged tables as built and on
-        # the unmerged (atom, corner) tables (one group per atom).
+        # the unmerged (atom, corner) entries as slots of weight p_w * wt_c.
         model = make_stormwater_model(design_params(design), disturbance=law)
         grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
         trans = precompute_transitions(model, grid)
         values, action_idx = value_iteration(0.5, model, grid, trans)
-        merged = (trans.cost, trans.probs, trans.corner_idx, trans.corner_wt,
+        merged = (trans.cost, trans.corner_idx, trans.corner_wt,
                   trans.cz_idx, trans.cz_frac)
         operators = [merged]
         if law is None:
-            operators.append((trans.cost, *unmerged_transitions(model, grid),
+            probs, corner_idx, corner_wt = unmerged_transitions(model, grid)
+            slots = (grid.n_xnodes, grid.action_axis.size, 1, -1)
+            operators.append((trans.cost, corner_idx.reshape(slots),
+                              (probs[..., None] * corner_wt).reshape(slots),
                               trans.cz_idx, trans.cz_frac))
         for tables in operators:
             for t in range(model.horizon):
-                got = sweep_kernel(values[t + 1], grid.z_axis, *tables)
-                ref = sweep_kernel_xmajor(values[t + 1], grid.z_axis, *tables)
+                args = (values[t + 1], grid.z_axis, *tables)
+                got = sweep_kernel(*args)
+                ref = sweep_kernel_xmajor(*one_group(args))
                 assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
                 assert np.array_equal(got[1], ref[1])
                 assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
@@ -682,7 +736,7 @@ class TestSweepKernel:
         grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
         values, _ = value_iteration(0.5, model, grid, trans)
-        tables = (trans.cost, trans.probs, trans.corner_idx, trans.corner_wt,
+        tables = (trans.cost, trans.corner_idx, trans.corner_wt,
                   trans.cz_idx, trans.cz_frac)
         for J_next in values[:3]:
             built = sweep_kernel(J_next, grid.z_axis, *tables)
