@@ -40,25 +40,20 @@ def fmt(v) -> str:
     return repr(float(v))
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return fmt(v)
-    return "" if v is None else str(v)
-
-
 def write_csv(path, config_hash: str, columns, rows, comments=()) -> None:
     """Write a CSV artifact: a ``# config=<hash>`` line, one ``# key=value``
     line per ``(key, value)`` pair of ``comments``, the header, then one line
-    per row. A float cell is written with ``fmt``, ``None`` as an empty cell
-    and anything else with ``str``; pass ``.tolist()`` values so that array
-    entries arrive as Python ints and floats."""
+    per row. Each cell is written with ``str``, which for a Python float is
+    ``fmt``'s shortest round-trip form, and ``None`` as an empty cell; pass
+    ``.tolist()`` values so that array entries arrive as Python ints and
+    floats."""
     with open(path, "w") as fh:
         fh.write(f"# config={config_hash}\n")
         for key, value in comments:
-            fh.write(f"# {key}={_cell(value)}\n")
+            fh.write(f"# {key}={value}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            fh.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
 
 
 def write_json(path, obj) -> None:

@@ -89,10 +89,16 @@ def merge_entries(entries, shape):
             pending &= ~hit
             j += 1
     first = np.maximum(cols[0], 0) if cols else None
-    for col in cols:
-        np.copyto(col, first, where=col < 0)
-    return tuple(np.array(a, dtype).reshape((-1, 1) + shape).T
-                 for a, dtype in ((cols, np.int64), (wts, np.float64)))
+    tables = []
+    for slots, dtype in ((cols, np.int64), (wts, np.float64)):
+        table = np.empty((len(slots), 1) + shape, dtype)
+        for j, slot in enumerate(slots):
+            table[j, 0] = slot
+            if slots is cols:
+                np.copyto(table[j, 0], first, where=slot < 0)
+            slots[j] = None  # copied: release it, so the peak stays near the tables
+        tables.append(table.T)
+    return tuple(tables)
 
 
 def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> TransitionTables:

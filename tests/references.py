@@ -7,7 +7,9 @@ time, the scalar reference of ``oracle.exact_optimal_cvar``;
 ``q_pump_piecewise`` is the pump flow in its original four-case form, an
 independent cross-check of ``models.q_pump``; ``sweep_kernel_xmajor`` is the
 Bellman step in the x-major order that ``dp.sweep_kernel`` replaced, which
-it must match bit for bit.
+it must match bit for bit; ``rollout_direct`` is ``rollout.rollout`` before
+the scenario tree, every trajectory advanced by full steps, which
+``rollout`` must match bit for bit.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import numpy as np
 from cvarsafe import Pmf, StormwaterParams, TinyInstance, cvar_dual
 from cvarsafe.dp import TIE_TOL
 from cvarsafe.oracle import _y_distribution
+from cvarsafe.rollout import RolloutBatch
 
 
 def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
@@ -143,3 +146,53 @@ def sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx, corner_wt,
               where=z_axis < cost[..., None])
     best = q.min(axis=1)
     return best, np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)
+
+
+def _sample_disturbances_direct(model, x, u, draws):
+    """Inverse-CDF sampling of w per rollout at the current (x, u): the atom
+    index is the count of CDF values at most the draw, capped at n_w - 1, the
+    same for a static law as for a callable one."""
+    values, probs = model.disturbance_rows(x, u)
+    draws = np.ascontiguousarray(draws)  # read once per atom: keep it in cache
+    cdf = np.zeros(draws.shape)
+    idx = np.zeros(draws.shape, dtype=np.int64)
+    for k in range(probs.shape[-1] - 1):
+        cdf += probs[..., k]
+        idx += cdf <= draws
+    return np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
+
+
+def rollout_direct(policy, num: int, seed: int, model, keep: int = None,
+                   block: int = 8192) -> RolloutBatch:
+    """``rollout.rollout`` with every step of every trajectory computed in
+    full: grid lookups, the two-array action gather, sampling and dynamics
+    on ``block`` rollouts at a time."""
+    n = int(num)
+    kept = n if keep is None else min(n, int(keep))
+    horizon = model.horizon
+    grid = policy.grid
+    dim = model.state_dim
+    states = np.empty((horizon + 1, kept, dim))
+    zs = np.empty((horizon + 1, kept))
+    acts = np.empty((horizon, kept))
+    shocks = np.empty((horizon, kept))
+    y_prime = np.empty(n)
+    rng = np.random.default_rng(int(seed))
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        c = max(0, min(m, kept - lo))  # leading columns still to record
+        draws = rng.random((m, horizon))
+        x = np.full((m, dim), policy.x0)
+        z = np.zeros(m)
+        for t in range(horizon):
+            ix = grid.nearest_x_index(x)
+            jz = grid.nearest_z_index(z)
+            u = grid.action_axis[policy.action_idx[t, ix, jz]]
+            w = _sample_disturbances_direct(model, x, u, draws[:, t])
+            for record, step in zip((states, zs, acts, shocks), (x, z, u, w)):
+                record[t, lo:lo + c] = step[:c]
+            x, z = model.dynamics(x, u, w), np.maximum(z, model.stage_cost(x, u))
+        states[horizon, lo:lo + c] = x[:c]
+        zs[horizon, lo:lo + c] = z[:c]
+        y_prime[lo:lo + m] = np.maximum(z, model.terminal_cost(x))
+    return RolloutBatch(states, zs, acts, shocks, y_prime)

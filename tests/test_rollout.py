@@ -13,6 +13,7 @@ from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, default_disturbance,
                       synthesize_policy, value_iteration)
 from cvarsafe.models import design_params
 from cvarsafe.rollout import PrecommitmentPolicy
+from references import rollout_direct
 from test_dp import wet_or_smoke_rows
 
 # The module, not the function of the same name that the package exports.
@@ -148,6 +149,123 @@ class TestBlockInvariance:
         assert np.unique(want.shocks).size == 5  # both laws were sampled
         monkeypatch.setattr(rollout_mod, "_BLOCK", block)
         assert_same_batch(rollout(policy, 50, seed=8, model=model), want)
+
+
+def tree_depth(policy, model, num):
+    """D: the scenario-tree levels ``rollout`` walks for ``num`` rollouts."""
+    cap = min(num, rollout_mod._TREE_NODES)
+    return len(rollout_mod._scenario_tree(policy, model, cap)[0])
+
+
+def policy_at(model, grid, x0=(3.0, 3.5), s=1.0):
+    return PrecommitmentPolicy(0.5, np.array(x0), s,
+                               *value_iteration(s, model, grid), grid)
+
+
+def stormwater_policy(design="a", law=None, horizon=20):
+    model = make_stormwater_model(design_params(design, horizon=horizon),
+                                  law or smoke_disturbance())
+    grid = AugmentedGrid.uniform(model, (9, 9), 5, 5, 2)
+    return model, policy_at(model, grid)
+
+
+class TestScenarioTree:
+    """``rollout`` walks a shared scenario tree for its first D steps and
+    matches full steps for every trajectory (``rollout_direct``) bit for bit."""
+
+    BIG = 2 * rollout_mod._BLOCK + 3
+
+    def check(self, policy, model, num, seed=4, keep=None):
+        want = rollout_direct(policy, num, seed, model, keep=keep)
+        assert_same_batch(rollout(policy, num, seed, model, keep=keep), want)
+        return want
+
+    @pytest.mark.parametrize("design", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("law", [smoke_disturbance(), default_disturbance()],
+                             ids=["smoke", "default"])
+    def test_designs_and_laws(self, design, law):
+        model, policy = stormwater_policy(design, law)
+        assert 0 < tree_depth(policy, model, self.BIG) < model.horizon
+        self.check(policy, model, self.BIG, keep=10)
+
+    def test_state_dependent_law(self):
+        base, policy = stormwater_policy()
+        model = dataclasses.replace(base, disturbance=wet_or_smoke_rows)
+        policy = policy_at(model, policy.grid)
+        assert tree_depth(policy, model, self.BIG) == 8  # 3**8 <= BIG < 3**9
+        want = self.check(policy, model, self.BIG, keep=10)
+        assert np.unique(want.shocks).size == 5  # both laws were sampled
+
+    @pytest.mark.parametrize("num", [0, 1, 5, BIG])
+    @pytest.mark.parametrize("keep", [0, 10, rollout_mod._BLOCK + 5])
+    def test_num_and_keep(self, num, keep):
+        model, policy = stormwater_policy()
+        self.check(policy, model, num, keep=keep)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("law", [smoke_disturbance(), wet_or_smoke_rows],
+                             ids=["static", "callable"])
+    def test_block_sizes(self, monkeypatch, block, law):
+        base, policy = stormwater_policy()
+        model = dataclasses.replace(base, disturbance=law)
+        policy = policy_at(model, policy.grid)
+        monkeypatch.setattr(rollout_mod, "_BLOCK", block)
+        self.check(policy, model, 50, keep=10)
+
+    def test_no_tree(self, monkeypatch):
+        model, policy = stormwater_policy()
+        monkeypatch.setattr(rollout_mod, "_TREE_NODES", 1)
+        assert tree_depth(policy, model, 300) == 0
+        self.check(policy, model, 300, keep=10)
+
+    @pytest.mark.parametrize("cap, depth", [(2**6, 6), (2**6 - 1, 5)])
+    def test_tree_up_to_the_horizon(self, monkeypatch, cap, depth):
+        # Two atoms and 6 steps: level 6 has 64 nodes.
+        model, policy = stormwater_policy(horizon=6)
+        monkeypatch.setattr(rollout_mod, "_TREE_NODES", cap)
+        assert tree_depth(policy, model, 300) == depth
+        self.check(policy, model, 300, keep=10)
+
+    def test_oracle_instance_walks_the_whole_tree(self):
+        inst = generate_corpus(5, 6)[0]  # three atoms
+        model, grid = inst.to_model_and_grid()
+        policy = synthesize_policy(np.array([inst.states[inst.x0]]), 0.5,
+                                   sweep(model, grid), model, grid)
+        assert tree_depth(policy, model, 1000) == model.horizon
+        self.check(policy, model, 1000, keep=10)
+
+    @pytest.mark.parametrize("cap", [1, 1 << 15], ids=["full-steps", "tree"])
+    def test_draw_equal_to_a_cdf_value(self, monkeypatch, cap):
+        # The first draw is the law's CDF at atoms 0 and 1 (atom 1 has
+        # probability 0), so it takes atom 2: a `<` would take atom 0, and so
+        # would a CDF summed in another order unless it rounds the same.
+        model, policy = stormwater_policy()
+        first = np.random.default_rng(4).random((1, model.horizon))[0, 0]
+        law = Pmf([9.0, 12.0, 15.0], [first, 0.0, 1.0 - first])
+        model = dataclasses.replace(model, disturbance=law)
+        policy = policy_at(model, policy.grid)
+        assert np.array_equal(rollout_mod._cdf_rows(model, policy.x0, 0.0)[1],
+                              [first, first])
+        monkeypatch.setattr(rollout_mod, "_TREE_NODES", cap)
+        want = self.check(policy, model, 50, keep=10)
+        assert want.shocks[0, 0] == 15.0
+
+    def test_tree_stops_before_an_undrawable_non_finite_state(self):
+        # Atom 0 has probability 0 and a NaN value: no draw takes it (its CDF
+        # value 0 is at most every draw), but the tree evaluates it, and
+        # stops at level 1 rather than look up a NaN state.
+        smoke = smoke_disturbance()
+
+        def nan_first(x, u):
+            shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)) + (3,)
+            return (np.broadcast_to(np.append(np.nan, smoke.values), shape),
+                    np.broadcast_to(np.append(0.0, smoke.probs), shape))
+
+        base, policy = stormwater_policy()  # value_iteration refuses NaN states
+        model = dataclasses.replace(base, disturbance=nan_first)
+        assert tree_depth(policy, model, 300) == 1
+        want = self.check(policy, model, 300)
+        assert np.isfinite(want.states).all() and np.isfinite(want.y_prime).all()
 
 
 class TestSampleDisturbances:
