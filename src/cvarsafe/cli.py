@@ -27,8 +27,8 @@ from . import artifacts, config as config_mod
 from .config import ConfigError
 from .dp import backend
 from .models import DESIGNS
-from .oracle import (OracleError, OracleSizeError, exact_optimal_cvar,
-                     generate_corpus, load_corpus, save_corpus)
+from .oracle import (IDENTITY_TOL, OracleError, OracleSizeError,
+                     exact_optimal_cvar, generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
 from .solver import extract_safe_set, risk_value, sweep
 
@@ -184,15 +184,13 @@ def cmd_oracle(args) -> int:
         alpha = _ORACLE_ALPHAS[i % len(_ORACLE_ALPHAS)]
         try:
             result = exact_optimal_cvar(inst, alpha, budget=args.budget)
-            pipeline = _pipeline_value(inst, alpha)
-            gap = abs(pipeline - result.value)
-            if gap > 1e-9:
-                failures.append({"instance": i, "alpha": alpha,
-                                 "error": f"pipeline gap {gap!r}"})
+            gap = abs(_pipeline_value(inst, alpha) - result.value)
+            error = f"pipeline gap {gap!r}" if gap > IDENTITY_TOL else None
         except (OracleError, OracleSizeError) as exc:
-            failures.append({"instance": i, "alpha": alpha, "error": str(exc)})
-        print(f"  instance {i}: alpha={alpha} "
-              f"{'FAIL' if failures and failures[-1]['instance'] == i else 'ok'}",
+            error = str(exc)
+        if error is not None:
+            failures.append({"instance": i, "alpha": alpha, "error": error})
+        print(f"  instance {i}: alpha={alpha} {'ok' if error is None else 'FAIL'}",
               file=sys.stderr)
     if args.write_corpus:
         save_corpus(args.write_corpus, instances)

@@ -17,10 +17,17 @@ taking action 0 at every slot it does not reach, and it comes first in
 only, one at a time on the scalar path (``_y_distribution`` and
 ``cvar.cvar_dual``), and keeps the first of least value: the same policy
 and value as walking all of them.
+
+Every walk (``reachable_nodes``, ``_canonical_policies``, ``_y_distribution``
+and ``_excess_dp``) reads the transition rule (x, z, a) -> (next x,
+max(z, cost), p) from one cached table, ``TinyInstance.successors``, which
+lists each (x, a)'s cost and its atoms of positive probability in atom order.
+The grid adapter ``to_model_and_grid`` reads the raw arrays instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -119,19 +126,26 @@ class TinyInstance:
     def n_atoms(self) -> int:
         return self.probs.shape[2]
 
+    @functools.cached_property
+    def successors(self):
+        """``successors[xi][ai] = (cost, ((next index, p), ...))`` as Python
+        scalars, listing the atoms with ``p > 0`` in atom order: the table
+        the oracle's walks read, built on first use and cached."""
+        return tuple(
+            tuple((float(c), tuple((int(n), float(p))
+                                   for n, p in zip(nxt, ps) if p > 0.0))
+                  for c, nxt, ps in zip(*rows))
+            for rows in zip(self.cost, self.next_idx, self.probs))
+
     def reachable_nodes(self) -> List[List[Tuple[int, float]]]:
         """Per time step, the sorted (x index, z value) pairs reachable
         from (x0, 0) under at least one policy."""
         layers = [[(self.x0, 0.0)]]
         for _ in range(self.horizon):
-            seen = set()
-            for xi, z in layers[-1]:
-                for ai in range(self.n_actions):
-                    zn = max(z, float(self.cost[xi, ai]))
-                    for wi in range(self.n_atoms):
-                        if self.probs[xi, ai, wi] > 0.0:
-                            seen.add((int(self.next_idx[xi, ai, wi]), zn))
-            layers.append(sorted(seen))
+            layers.append(sorted({(nxt, max(z, cost))
+                                  for xi, z in layers[-1]
+                                  for cost, atoms in self.successors[xi]
+                                  for nxt, _ in atoms}))
         return layers
 
     def policy_count(self) -> int:
@@ -246,11 +260,8 @@ def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
         ai = get_action(t, xi, z)
         if ai is None or not 0 <= ai < inst.n_actions:
             raise OracleError(f"policy queried at unreachable node {(t, xi, z)}")
-        zn = max(z, float(inst.cost[xi, ai]))
-        for wi in range(inst.n_atoms):
-            p = float(inst.probs[xi, ai, wi])
-            if p > 0.0:
-                stack.append((t + 1, int(inst.next_idx[xi, ai, wi]), zn, pr * p))
+        cost, atoms = inst.successors[xi][ai]
+        stack.extend((t + 1, nxt, max(z, cost), pr * p) for nxt, p in atoms)
     ys = sorted(out)
     probs = np.array([out[y] for y in ys])
     check_prob_rows(probs, "atom")
@@ -267,16 +278,9 @@ def _excess_dp(inst: TinyInstance, s):
     for t in range(inst.horizon - 1, -1, -1):
         prev = {}
         for xi, z in layers[t]:
-            best = np.inf
-            for ai in range(inst.n_actions):
-                zn = max(z, float(inst.cost[xi, ai]))
-                q = 0.0
-                for wi in range(inst.n_atoms):
-                    p = float(inst.probs[xi, ai, wi])
-                    if p > 0.0:
-                        q += p * value[(int(inst.next_idx[xi, ai, wi]), zn)]
-                best = np.minimum(best, q)
-            prev[(xi, z)] = best
+            qs = (sum((p * value[(nxt, max(z, cost))] for nxt, p in atoms), 0.0)
+                  for cost, atoms in inst.successors[xi])
+            prev[(xi, z)] = functools.reduce(np.minimum, qs, np.inf)
         value = prev
     return value[(inst.x0, 0.0)]
 
@@ -303,25 +307,19 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
     """Minimum CVaR over every deterministic augmented-state policy.
 
     Returns the first policy of least CVaR in ``itertools.product`` order
-    over the reachable (t, x, z) slots, the one a walk of every policy by
-    ``_y_distribution`` scored by ``cvar_dual`` would pick. Policies that
-    differ only at slots none of them reaches get the same value bit for
-    bit, and the first of each such class takes action 0 at every slot it
-    does not reach. So only these canonical policies are walked
-    (``_canonical_policies``), and the first strict minimum among them is
-    the answer; the reported value equals a fixed-policy evaluation of
-    ``policy``. Cross-checks against the exchange-identity route; a
-    disagreement beyond 1e-9 raises ``OracleError``. Raises
-    ``OracleSizeError`` when the full enumeration, ``policy_count()``
-    policies, would exceed ``budget``.
+    over the reachable (t, x, z) slots, found by walking only the canonical
+    policies (``_canonical_policies``, see the module docstring); the
+    reported value equals a fixed-policy evaluation of ``policy``.
+    Cross-checks against the exchange-identity route; a disagreement beyond
+    ``IDENTITY_TOL`` raises ``OracleError``. Raises ``OracleSizeError`` when
+    the full enumeration, ``policy_count()`` policies, would exceed ``budget``.
     """
-    layers = inst.reachable_nodes()
-    slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
-    count = inst.n_actions ** len(slots)
+    count = inst.policy_count()
     if count > budget:
         raise OracleSizeError(
             f"{count} policies exceed the enumeration budget {budget}")
-
+    layers = inst.reachable_nodes()
+    slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
     best_value, policy = np.inf, None
     for actions in _canonical_policies(inst, layers):
         assignment = dict(zip(slots, actions))
@@ -354,9 +352,11 @@ def _canonical_policies(inst: TinyInstance, layers):
         options = [range(inst.n_actions) if node in reached else (0,)
                    for node in layers[t]]
         for actions in itertools.product(*options):
-            nxt = {(int(inst.next_idx[xi, ai, wi]), max(z, float(inst.cost[xi, ai])))
-                   for (xi, z), ai in zip(layers[t], actions) if (xi, z) in reached
-                   for wi in range(inst.n_atoms) if inst.probs[xi, ai, wi] > 0.0}
+            nxt = set()
+            for (xi, z), ai in zip(layers[t], actions):
+                if (xi, z) in reached:
+                    cost, atoms = inst.successors[xi][ai]
+                    nxt.update((n, max(z, cost)) for n, _ in atoms)
             yield from extend(t + 1, nxt, prefix + actions)
 
     return extend(0, {(inst.x0, 0.0)}, ())

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarsafe import (RolloutBatch, cli, dp, rollout, solver,
+from cvarsafe import (RolloutBatch, cli, dp, rollout, smoke_disturbance, solver,
                       synthesize_policy)
 from cvarsafe.artifacts import (SCHEMA_VERSION, read_sweep, write_rollouts_csv,
                                 write_tables_csv)
@@ -112,6 +112,19 @@ class TestSweepCommand:
         cli.main(["sweep", "--config", tiny_config, "--out", str(out2),
                   "--threads", "4"])
         assert read_tree(out1)["sweep.csv"] == read_tree(out2)["sweep.csv"]
+
+    def test_atom_list_law_matches_its_named_law(self, tiny_config, tmp_path):
+        # The smoke law written out as [value, probability] atoms gives the
+        # same sweep rows; only the config hash in the first line differs.
+        smoke = smoke_disturbance()
+        atoms = [[float(v), float(p)] for v, p in zip(smoke.values, smoke.probs)]
+        path = write_config(tmp_path, "atoms.json", {"model": {"disturbance": atoms}})
+        named, listed = tmp_path / "named", tmp_path / "listed"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(named)]) == 0
+        assert cli.main(["sweep", "--config", path, "--out", str(listed)]) == 0
+        rows = [(out / "sweep.csv").read_text().splitlines() for out in (named, listed)]
+        assert rows[0][0] != rows[1][0]
+        assert rows[0][1:] == rows[1][1:]
 
     def test_one_progress_line_per_s(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -322,6 +335,14 @@ class TestDeployCommand:
                            full.y_prime)
         write_rollouts_csv(str(tmp_path / "ref.csv"), cut, config_hash(cfg))
         assert written == (tmp_path / "ref.csv").read_bytes()
+
+    def test_alpha_one_reports_the_mean(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["deploy", "--config", tiny_config, "--out", str(out),
+                         "--alpha", "1.0"]) == 0
+        summary = json.loads((out / "deploy_summary.json").read_text())
+        assert summary["alpha"] == 1.0
+        assert summary["cvar_hat"] == summary["mean_hat"]
 
     def test_zero_rollouts_reports_dp_only(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -601,6 +622,44 @@ class TestOracleCommand:
         empty.write_text('{"schema": 1, "instances": []}')
         assert cli.main(["oracle", "--corpus", str(empty)]) == 0
 
+    def test_budget_refusals_reported(self, tmp_path, capsys):
+        # Instances 0 and 1 have one policy each; 2 and 3 exceed the budget.
+        # The report is what the benchmark's oracle workload reads.
+        out = tmp_path / "run"
+        assert cli.main(["oracle", "--count", "4", "--seed", "2", "--budget", "1",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for i, alpha, status in ((0, 0.05, "ok"), (1, 0.25, "ok"),
+                                 (2, 0.5, "FAIL"), (3, 0.99, "FAIL")):
+            assert f"  instance {i}: alpha={alpha} {status}\n" in err
+        assert "oracle: 4 instances checked: FAIL (2 mismatches)" in err
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report == {"schema_version": SCHEMA_VERSION, "checked": 4, "failures": [
+            {"instance": 2, "alpha": 0.5,
+             "error": "243 policies exceed the enumeration budget 1"},
+            {"instance": 3, "alpha": 0.99,
+             "error": "32 policies exceed the enumeration budget 1"}]}
+
+    def test_pipeline_gap_reported(self, tmp_path, capsys, monkeypatch):
+        # A grid pipeline off by 1e-6 fails every instance with its gap.
+        exact = cli._pipeline_value
+        monkeypatch.setattr(cli, "_pipeline_value",
+                            lambda inst, alpha: exact(inst, alpha) + 1e-6)
+        out = tmp_path / "run"
+        assert cli.main(["oracle", "--count", "2", "--seed", "5",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "instance 0: alpha=0.05 FAIL" in err
+        assert "instance 1: alpha=0.25 FAIL" in err
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["checked"] == 2
+        assert [(f["instance"], f["alpha"]) for f in report["failures"]] == [
+            (0, 0.05), (1, 0.25)]
+        for failure in report["failures"]:
+            label, gap = failure["error"].rsplit(" ", 1)
+            assert label == "pipeline gap"
+            assert abs(float(gap) - 1e-6) <= 1e-15
+
     def test_write_corpus(self, tmp_path, capsys):
         target = tmp_path / "corpus.json"
         assert cli.main(["oracle", "--count", "3", "--seed", "2",
@@ -671,6 +730,24 @@ class TestConfigErrors:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {cfg}: config root must be a JSON object\n"
+
+    def test_section_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": 5}))
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: grid: expected an object\n"
+
+    def test_atom_list_law_must_sum_to_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": {
+            "disturbance": [[10.0, 0.5], [14.0, 0.5000000001]]}}))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: model.disturbance: atom probabilities sum to "
+            "1.0000000001, expected 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", [{"z": "abc"}, {"s": 2.5},
                                       {"x": [7, None]}])

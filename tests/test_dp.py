@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, Pmf, SystemModel, design_params,
-                      make_stormwater_model, precompute_transitions,
-                      smoke_disturbance, value_iteration)
+                      generate_corpus, make_stormwater_model,
+                      precompute_transitions, smoke_disturbance, value_iteration)
 from cvarsafe.artifacts import write_tables_csv
+from cvarsafe.cli import _default_corpus
 from cvarsafe.dp import TIE_TOL, merge_entries, sweep_kernel
 from cvarsafe.grids import locate_batch
 from pointwise import backup_q, bellman_min, interp_xz, unmerged_transitions
@@ -487,6 +488,77 @@ class TestValueIteration:
                     got = interp_xz(grid, values[t],
                                     np.array([x]), float(z))
                     assert got == values[t][i, jz]
+
+
+class TestRunningMaxShift:
+    """For every s on the z axis, J^s_t(x, z) = J^0_t(x, max(z, s)) - s at
+    every layer t, and the s solve picks the actions of the s = 0 solve read
+    at max(z, s).
+
+    Exactly: max(max(z, Y) - s, 0) = max(z, s, Y) - s, so the terminal
+    layers agree bit for bit, and by induction so does every layer in exact
+    arithmetic with weights of unit sum. z interpolation between two nodes
+    on the same side of s commutes with max(., s), and below the stage cost
+    both solves interpolate at the same c(x, u).
+
+    The tolerance is derived, not fitted. Both solves share the transition
+    tables, whose row masses S_xu (sum of the k slot weights) lie within D
+    of 1 and below S. D and S are bounded from the stored weights: the
+    computed sums, widened by gamma(k) times the largest sum. So shifting
+    J_{t+1} by s shifts the exact step by s * S_xu. The below-cost weights
+    1 - f and f sum to within u of 1. Each computed step lies within
+    gamma(k + 4) * S * max|J_{t+1}| of the exact step on its own input.
+    The kernel's bound against its scalar loop, 2 gamma(k + 4) max|J_{t+1}|,
+    counts that once per path; taking all of it on each side also covers
+    the u-sized rounding of 1 - f. With E_N = 0:
+
+        E_t = (1 + u) (S E_{t+1} + s D)
+              + 2 gamma(k + 4) S (max|J^s_{t+1}| + max|J^0_{t+1}|),
+
+    and the test's own subtraction J^0 - s rounds once more, by up to
+    u max|J^0_t - s|.
+    """
+
+    @staticmethod
+    def assert_shift_identity(model, grid):
+        trans = precompute_transitions(model, grid)
+        u = np.finfo(np.float64).eps / 2
+
+        def gamma(n):
+            return n * u / (1.0 - n * u)
+
+        k = trans.corner_idx.shape[3]
+        mass = trans.corner_wt.sum(axis=(2, 3))
+        S = mass.max() * (1.0 + gamma(k))
+        D = np.abs(mass - 1.0).max() + gamma(k) * mass.max()
+        z_axis = grid.z_axis
+        values0, actions0 = value_iteration(0.0, model, grid, trans)
+        for js, s in enumerate(z_axis):
+            values, actions = value_iteration(float(s), model, grid, trans)
+            cols = np.maximum(np.arange(z_axis.size), js)  # max(z, s) on the axis
+            shifted = values0[:, :, cols] - s
+            assert np.array_equal(values[-1], shifted[-1])
+            E = 0.0
+            for t in range(model.horizon - 1, -1, -1):
+                E = ((1.0 + u) * (S * E + s * D)
+                     + 2.0 * gamma(k + 4) * S * (np.abs(values[t + 1]).max()
+                                                 + np.abs(values0[t + 1]).max()))
+                tol = E + u * np.abs(shifted[t]).max()
+                assert np.abs(values[t] - shifted[t]).max() <= tol
+                assert np.array_equal(actions[t], actions0[t][:, cols])
+
+    @pytest.mark.parametrize("design, law", [("a", None), ("b", None),
+                                             ("a", smoke_disturbance()),
+                                             ("c", None)],
+                             ids=["a-default", "b-default", "a-smoke", "c-default"])
+    def test_coarse_grid(self, design, law):
+        model = make_stormwater_model(design_params(design), law)
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        self.assert_shift_identity(model, grid)
+
+    def test_oracle_instances(self):
+        for inst in _default_corpus() + generate_corpus(3, 200):
+            self.assert_shift_identity(*inst.to_model_and_grid())
 
 
 # Weights and probabilities that are often exactly zero (padded atoms,

@@ -1,5 +1,6 @@
 """Import hygiene: no unused module-level imports, no function-local
-imports in the library, no scipy at run time.
+imports in the library, no scipy at run time, and every library name the
+benchmark's tracer wraps still resolves.
 
 The library modules and the test files are parsed with ``ast``; a name
 bound by a top-level ``import`` counts as used when it appears as a name
@@ -10,6 +11,7 @@ check can see every import.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -85,3 +87,34 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_traced_names_resolve():
+    # Every name the benchmark's tracer times (TIMES), counts (_COUNTERS) or
+    # wraps beyond __all__ (_EXTRA_FUNCTIONS, _EXTRA_METHODS) must be one it
+    # wraps: a traced function that is renamed or deleted would read 0 in its
+    # per-layer metric and fail nothing else.
+    sys.path[:0] = [p for p in (str(ROOT / "perfbench"),) if p not in sys.path]
+    tracing = importlib.import_module("tracing")
+    names = {n for fns in tracing.TIMES.values() for n in fns}
+    names.update(tracing._COUNTERS)
+    names.update(f"{layer}.{fn}" for layer, fns in tracing._EXTRA_FUNCTIONS.items()
+                 for fn in fns)
+    names.update(f"{layer}.{cls}.{m}"
+                 for layer, (cls, methods) in tracing._EXTRA_METHODS.items()
+                 for m in methods)
+    assert len(names) >= 19
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        assert layer in tracing.LAYERS, name
+        module = importlib.import_module(f"cvarsafe.{layer}")
+        if len(path) == 1:  # a function: wrapped from __all__ or as an extra
+            assert callable(getattr(module, path[0], None)), name
+            assert (path[0] in module.__all__
+                    or path[0] in tracing._EXTRA_FUNCTIONS.get(layer, ())), name
+        else:  # a method, wrapped where its class defines it
+            cls, method = path
+            assert callable(vars(getattr(module, cls)).get(method)), name
+    for layer in tracing.LAYERS:
+        module = importlib.import_module(f"cvarsafe.{layer}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], layer

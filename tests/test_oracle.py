@@ -254,6 +254,80 @@ class TestReachability:
             assert list(oracle._canonical_policies(inst, layers)) == list(first.values())
 
 
+def zero_atom_instance():
+    """Three states, two actions, three atoms; the row of (x 1, a 0) has a
+    zero-probability atom between two positive ones; horizon 2."""
+    return TinyInstance(
+        states=np.array([0.0, 1.0, 2.0]),
+        actions=np.array([0.0, 1.0]),
+        cost=np.array([[0.0, 0.5], [1.0, 0.5], [1.5, 2.0]]),
+        terminal=np.array([0.0, 1.0, 2.0]),
+        probs=np.array([[[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]],
+                        [[0.25, 0.0, 0.75], [0.5, 0.5, 0.0]],
+                        [[1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]]]),
+        next_idx=np.array([[[0, 1, 2], [1, 2, 0]],
+                           [[0, 2, 2], [1, 0, 2]],
+                           [[2, 1, 0], [0, 1, 2]]]),
+        horizon=2,
+        c_bar=2.0,
+        x0=1,
+    )
+
+
+class TestSuccessors:
+    @staticmethod
+    def assert_table_matches_arrays(inst):
+        table = inst.successors
+        assert len(table) == inst.n_states
+        for xi, row in enumerate(table):
+            assert len(row) == inst.n_actions
+            for ai, (cost, atoms) in enumerate(row):
+                assert type(cost) is float and cost == float(inst.cost[xi, ai])
+                expected = [(int(inst.next_idx[xi, ai, wi]),
+                             float(inst.probs[xi, ai, wi]))
+                            for wi in range(inst.n_atoms)
+                            if inst.probs[xi, ai, wi] > 0.0]
+                assert list(atoms) == expected
+                assert all(type(n) is int and type(p) is float for n, p in atoms)
+
+    @pytest.mark.parametrize("corpus", ["shipped", 11])
+    def test_table_matches_the_arrays(self, corpus):
+        instances = (_default_corpus() if corpus == "shipped"
+                     else generate_corpus(corpus, 40))
+        for inst in instances:
+            self.assert_table_matches_arrays(inst)
+
+    def test_zero_probability_atom_left_out(self):
+        inst = zero_atom_instance()
+        self.assert_table_matches_arrays(inst)
+        assert inst.successors[1][0] == (1.0, ((0, 0.25), (2, 0.75)))
+        assert inst.successors[2][1] == (2.0, ((2, 1.0),))
+        assert inst.successors is inst.successors  # cached, not rebuilt
+
+    @pytest.mark.parametrize("make", [zero_atom_instance, two_state_instance,
+                                      lambda: generate_corpus(11, 1)[0]],
+                             ids=["zero-atom", "two-state", "generated"])
+    def test_walks_read_only_the_table(self, make):
+        # With the transition arrays gone once the table is cached, the four
+        # walks still give what they gave before.
+        def walks(inst, s):
+            layers = inst.reachable_nodes()
+            slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
+            policies = list(oracle._canonical_policies(inst, layers))
+            pmfs = [_y_distribution(inst, lambda *node, _a=dict(zip(slots, a)):
+                                    _a.get(node)) for a in policies]
+            return (layers, policies,
+                    [(d.values.tolist(), d.probs.tolist()) for d in pmfs],
+                    _excess_dp(inst, s).tolist())
+
+        inst = make()
+        s = np.array(inst.s_breakpoints())
+        expected = walks(inst, s)
+        for name in ("cost", "probs", "next_idx"):
+            object.__setattr__(inst, name, None)
+        assert walks(inst, s) == expected
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         instances = generate_corpus(seed=1, count=4)
