@@ -15,7 +15,7 @@ to stderr only); every file embeds the resolved config hash.
 from __future__ import annotations
 
 import argparse
-import json
+import copy
 import os
 import sys
 import time
@@ -167,13 +167,17 @@ def cmd_oracle(args) -> int:
                                  ("--budget", args.budget, 1)):
         if value is not None and value < minimum:
             raise ConfigError(f"{flag}: must be >= {minimum}, got {value}")
+    if args.corpus and args.count is not None:
+        raise ConfigError("--count: cannot be used with --corpus")
+    if args.seed is not None and args.count is None:
+        raise ConfigError("--seed: seeds a generated corpus, needs --count")
     if args.corpus:
         try:
             instances = load_corpus(args.corpus)
         except ValueError as exc:  # json.JSONDecodeError included
             raise ConfigError(f"{args.corpus}: corpus parse failed: {exc}") from exc
     elif args.count is not None:
-        instances = generate_corpus(args.seed, args.count)
+        instances = generate_corpus(args.seed or 0, args.count)
     else:
         instances = _default_corpus()
     if not instances:
@@ -224,9 +228,9 @@ def cmd_compare_designs(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
     chash = config_mod.config_hash(cfg)
-    counts = {}
-    for design in DESIGNS:
-        dcfg = json.loads(json.dumps(cfg))  # deep copy
+    counts, rows = {}, []
+    for design in DESIGNS:  # design a first: the ratios are against its counts
+        dcfg = copy.deepcopy(cfg)
         dcfg["model"]["design"] = design
         if design != "b":  # a pump is configured for design b only
             dcfg["model"]["params"].pop("pump", None)
@@ -237,12 +241,7 @@ def cmd_compare_designs(args) -> int:
         for alpha in cfg["alphas"]:
             w_star, _ = risk_value(grid.s_axis, v0, alpha)
             for r in cfg["rs"]:
-                counts[(design, alpha, r)] = int(extract_safe_set(w_star, r).sum())
-    rows = []
-    for design in DESIGNS:
-        for alpha in cfg["alphas"]:
-            for r in cfg["rs"]:
-                n = counts[(design, alpha, r)]
+                n = counts[(design, alpha, r)] = int(extract_safe_set(w_star, r).sum())
                 base = counts[("a", alpha, r)]
                 ratio = (n - base) / base if base else None
                 rows.append((design, float(alpha), float(r), n, ratio))
@@ -296,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--count", type=int, default=None,
                    help="generate this many instances instead of loading")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the generated corpus (with --count; default 0)")
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--write-corpus", default=None,
                    help="serialize the checked instances to this path")

@@ -302,9 +302,6 @@ def make_stormwater_model(params: Optional[StormwaterParams] = None,
     def cost(x, u=None):
         return g_k(x, p)
 
-    def tcost(x):
-        return g_k(x, p)
-
     action_bounds = (-1.0, 1.0) if p.design == "b" else (0.0, 1.0)
     c_bar = max(p.kbar1 - p.k1, p.kbar2 - p.k2)
     return SystemModel(
@@ -314,7 +311,7 @@ def make_stormwater_model(params: Optional[StormwaterParams] = None,
         horizon=p.horizon,
         dynamics=dyn,
         stage_cost=cost,
-        terminal_cost=tcost,
+        terminal_cost=cost,
         disturbance=dist,
         c_bar=c_bar,
     )

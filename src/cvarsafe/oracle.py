@@ -398,9 +398,9 @@ def _random_prob_rows(rng, n_s, n_a, n_w):
     return weights / weights.sum(axis=2, keepdims=True)
 
 
-def generate_corpus(seed: int, count: int, max_policies: int = 4000):
+def generate_corpus(seed: int, count: int):
     rng = np.random.default_rng(seed)
-    return [random_instance(rng, max_policies) for _ in range(count)]
+    return [random_instance(rng) for _ in range(count)]
 
 
 def save_corpus(path, instances):

@@ -2,9 +2,10 @@
 
 A policy is synthesized for one (initial state, risk level) pair from the
 sweep's ``v0`` array: the minimizing dual parameter is read off
-``solver.risk_value`` at the node nearest the initial state, value
-iteration is re-solved at exactly that parameter, and the resulting argmin
-tables drive the rollouts.
+``solver.risk_value`` on the column of the node nearest the initial state,
+value iteration is re-solved at exactly that parameter, and the policy
+keeps its argmin tables, which drive the rollouts, and ``J_0`` at that
+node and z = 0; the other value layers are not kept.
 
 Records are time-major: ``RolloutBatch.states`` has shape
 (horizon + 1, kept, state_dim), ``zs`` (horizon + 1, kept), ``actions`` and
@@ -74,23 +75,16 @@ _TREE_NODES = 1 << 15
 
 @dataclass(frozen=True)
 class PrecommitmentPolicy:
-    """Deployment package: dual parameter fixed up front plus the tables
-    ``value_iteration`` returns at it, ``values`` (N + 1, n_xnodes, n_z) and
-    the argmin ``action_idx`` (N, n_xnodes, n_z) that drives the rollouts."""
+    """Deployment package: the dual parameter fixed up front, the DP value
+    the rollouts should reproduce, and the argmin ``action_idx``
+    (N, n_xnodes, n_z) that ``value_iteration`` returns at ``s_star``, read
+    at the ``grid`` nodes nearest each augmented state."""
 
-    alpha: float
     x0: np.ndarray
     s_star: float
-    values: np.ndarray
+    dp_value: float  # J_0 at the node nearest x0 and z = 0: E[max(Y - s*, 0)]
     action_idx: np.ndarray
     grid: AugmentedGrid
-
-    @property
-    def dp_value(self) -> float:
-        """J_0 at the grid node nearest x0 and z = 0: the expected excess
-        above s_star that the rollouts should reproduce."""
-        node = self.grid.nearest_x_index(self.x0)
-        return float(self.values[0][node, 0])
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,8 @@ class RolloutBatch:
 def synthesize_policy(x0, alpha, v0: np.ndarray, model: SystemModel,
                       grid: AugmentedGrid) -> PrecommitmentPolicy:
     """Fix s* at the node nearest x0, given the sweep ``v0`` on ``grid``'s s
-    axis, and re-solve value iteration there. ``x0`` must be one state of
+    axis, and re-solve value iteration there; ``dp_value`` is the re-solve's
+    ``J_0`` at that node and z = 0. ``x0`` must be one state of
     shape (state_dim,) inside the state box, else ValueError."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (model.state_dim,):
@@ -122,10 +117,12 @@ def synthesize_policy(x0, alpha, v0: np.ndarray, model: SystemModel,
     for d, (lo, hi) in enumerate(model.state_bounds):
         if not lo <= x0[d] <= hi:
             raise ValueError(f"x0[{d}]={x0[d]} outside bounds [{lo}, {hi}]")
-    _, s_stars = risk_value(grid.s_axis, v0, alpha)
-    s_star = float(s_stars[grid.nearest_x_index(x0)])
+    node = grid.nearest_x_index(x0)
+    _, s_stars = risk_value(grid.s_axis, v0[:, [node]], alpha)
+    s_star = float(s_stars[0])
     values, action_idx = value_iteration(s_star, model, grid)
-    return PrecommitmentPolicy(float(alpha), x0, s_star, values, action_idx, grid)
+    return PrecommitmentPolicy(x0, s_star, float(values[0][node, 0]),
+                               action_idx, grid)
 
 
 def _actions(policy: PrecommitmentPolicy, t: int, x, z):

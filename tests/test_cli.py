@@ -799,6 +799,36 @@ class TestConfigErrors:
             assert f"config error: {error}" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--corpus", "CORPUS", "--count", "3"],
+         "--count: cannot be used with --corpus"),
+        (["--corpus", "CORPUS", "--count", "3", "--seed", "1"],
+         "--count: cannot be used with --corpus"),
+        (["--seed", "4"], "--seed: seeds a generated corpus, needs --count"),
+        (["--corpus", "CORPUS", "--seed", "4"],
+         "--seed: seeds a generated corpus, needs --count"),
+    ], ids=["count-with-corpus", "count-and-seed-with-corpus",
+            "seed-with-shipped-corpus", "seed-with-corpus"])
+    def test_ignored_oracle_flag_rejected(self, tmp_path, capsys, flags, error):
+        # A flag the chosen corpus would not use is refused, not dropped.
+        corpus = tmp_path / "corpus.json"
+        assert cli.main(["oracle", "--count", "1", "--write-corpus",
+                         str(corpus)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = [str(corpus) if flag == "CORPUS" else flag for flag in flags]
+        assert cli.main(["oracle", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {error}\n"
+        assert not out.exists()
+
+    def test_oracle_count_without_seed_uses_seed_zero(self, tmp_path):
+        paths = [tmp_path / "default.json", tmp_path / "zero.json"]
+        for path, seed in zip(paths, ([], ["--seed", "0"])):
+            assert cli.main(["oracle", "--count", "3", *seed,
+                             "--write-corpus", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "", "alphas"),
         ("--alpha", "0.5,abc", "alphas"),

@@ -2,23 +2,27 @@
 
 import dataclasses
 import importlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, Pmf, cvar_dual, default_disturbance,
+from cvarsafe import (AugmentedGrid, Pmf, cli, cvar_dual, default_disturbance,
                       estimate_risk, generate_corpus, g_k, make_stormwater_model,
                       risk_value, rollout, smoke_disturbance, sweep,
                       synthesize_policy, value_iteration)
 from cvarsafe.models import design_params
 from cvarsafe.rollout import PrecommitmentPolicy
 from references import rollout_direct
+from test_cli import read_configured_sweep
 from test_dp import wet_or_smoke_rows
 
 # The module, not the function of the same name that the package exports.
 rollout_mod = importlib.import_module("cvarsafe.rollout")
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BATCH_FIELDS = ("states", "zs", "actions", "shocks", "y_prime")
 
 
@@ -44,9 +48,54 @@ class TestSynthesizePolicy:
         node = grid.nearest_x_index(x0)
         assert policy.s_star == s_star[node]
         values, action_idx = value_iteration(policy.s_star, model, grid)
-        assert np.array_equal(policy.values, values)
         assert np.array_equal(policy.action_idx, action_idx)
         assert policy.dp_value == float(values[0][node, 0])
+
+    def test_holds_only_what_is_read(self):
+        # The rollouts read the action tables on the grid; the deploy
+        # summary reads s* and the DP value. No value layer is kept.
+        names = [f.name for f in dataclasses.fields(PrecommitmentPolicy)]
+        assert names == ["x0", "s_star", "dp_value", "action_idx", "grid"]
+
+    @pytest.mark.parametrize("design", ["a", "b"])
+    def test_dp_value_is_the_sweep_cell(self, design):
+        # The re-solve at s* gives the sweep's own v0 cell, bit for bit, on
+        # the coarse baseline grid; the cases reach s* at 0, inside the axis
+        # and at c_bar.
+        model = make_stormwater_model(design_params(design),
+                                      default_disturbance())
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        v0 = sweep(model, grid, threads=2)
+        s_stars = set()
+        for x0 in ([2.5, 3.0], [0.0, 3.25], [1.0, 1.0], [4.0, 4.0]):
+            for alpha in (0.99, 0.5, 0.05):
+                policy = synthesize_policy(x0, alpha, v0, model, grid)
+                (i,) = np.flatnonzero(grid.s_axis == policy.s_star)
+                node = grid.nearest_x_index(np.array(x0))
+                assert policy.dp_value == v0[i, node], (x0, alpha)
+                s_stars.add(policy.s_star)
+        assert {grid.s_axis[0], grid.s_axis[-1]} < s_stars, s_stars
+
+    def test_deploy_dp_value_is_the_sweep_csv_cell(self, tmp_path):
+        # Through the command line: deploy --sweep writes the sweep.csv cell
+        # at (s*, node nearest x0) as its dp_value, at an interior s* and at
+        # the shipped deploy point (s* = c_bar).
+        config = str(CONFIGS / "coarse-baseline.json")
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--config", config, "--threads", "2",
+                         "--out", str(out)]) == 0
+        v0, grid, _ = read_configured_sweep(config, out)
+        s_stars = []
+        for flags in ([], ["--x0", "0.0,3.25", "--alpha", "0.5"]):
+            deploy = tmp_path / f"deploy{len(flags)}"
+            assert cli.main(["deploy", "--config", config, "--sweep", str(out),
+                             "--rollouts", "0", "--out", str(deploy), *flags]) == 0
+            summary = json.loads((deploy / "deploy_summary.json").read_text())
+            (i,) = np.flatnonzero(grid.s_axis == summary["s_star"])
+            node = grid.nearest_x_index(np.array(summary["x0"]))
+            assert summary["dp_value"] == v0[i, node], flags
+            s_stars.append(summary["s_star"])
+        assert s_stars == [grid.s_axis[-1], 1.0]
 
     def test_out_of_bounds_x0(self):
         model, grid, ds = small_setup()
@@ -158,8 +207,12 @@ def tree_depth(policy, model, num):
 
 
 def policy_at(model, grid, x0=(3.0, 3.5), s=1.0):
-    return PrecommitmentPolicy(0.5, np.array(x0), s,
-                               *value_iteration(s, model, grid), grid)
+    """The policy at dual parameter ``s``, built as ``synthesize_policy``
+    builds it once s* is fixed."""
+    x0 = np.array(x0)
+    values, action_idx = value_iteration(s, model, grid)
+    dp_value = float(values[0][grid.nearest_x_index(x0), 0])
+    return PrecommitmentPolicy(x0, s, dp_value, action_idx, grid)
 
 
 def stormwater_policy(design="a", law=None, horizon=20):
@@ -382,8 +435,7 @@ class TestMonteCarloConsistency:
         gaps = []
         for n in (13, 25, 49):
             grid = AugmentedGrid.uniform(model, (n, n), 11, 11, 2)
-            policy = PrecommitmentPolicy(0.5, x0, s, *value_iteration(s, model, grid),
-                                         grid)
+            policy = policy_at(model, grid, x0, s)
             batch = rollout(policy, 200_000, seed=0, model=model, keep=0)
             stats = estimate_risk(batch, 0.5, s)
             excess, stderr = stats["excess_hat"], stats["excess_stderr"]
