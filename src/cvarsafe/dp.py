@@ -14,8 +14,8 @@ across a whole dual-parameter sweep.
 One Bellman step over every (state node, running-max node) pair is the hot
 loop of the solver; ``sweep_kernel`` runs it in numpy on z-major
 (n_z, n_u, n_x) work arrays, one gather per merged slot, reading the (x, u)
-tables, which are stored u-major, without copies. Below the stage cost the
-expectation is interpolated once at c(x, u).
+tables, which are stored u-major, without copies. The z nodes below the
+z bracket of c(x, u) move to c, where the expectation is interpolated once.
 """
 
 from __future__ import annotations
@@ -50,18 +50,17 @@ class TransitionTables:
     keep an axis of length 1 before the slots, the shape that the benchmark's
     kernel counter reads. Every table is stored u-major behind its shape: the
     transpose of each (x, u) slice, such as ``corner_idx[:, :, 0, j].T`` or
-    ``cost.T``, is C-contiguous (n_u, n_x).
+    ``cz_idx.T``, is C-contiguous (n_u, n_x).
 
     Against the unmerged (atom, corner) sum, a merged backup differs only in
     rounding: per action and step by at most
     ``(gamma(n_w * n_c + k + 3) + gamma(n_w + n_c + 3)) * max|J_next|``,
     ``gamma`` as in ``sweep_kernel``, with ``n_c = 2**state_dim`` corners."""
 
-    cost: np.ndarray        # (n_x, n_u)
     corner_idx: np.ndarray  # (n_x, n_u, 1, k), int64: next node of each slot
     corner_wt: np.ndarray   # (n_x, n_u, 1, k): merged weight of each slot
-    cz_idx: np.ndarray      # (n_x, n_u), int64
-    cz_frac: np.ndarray     # (n_x, n_u)
+    cz_idx: np.ndarray      # (n_x, n_u), int64: c(x, u) bracketed on the z axis,
+    cz_frac: np.ndarray     # (n_x, n_u)         the only form of c that is kept
     terminal: np.ndarray    # (n_x,)
 
 
@@ -150,8 +149,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
     terminal = np.asarray(model.terminal_cost(nodes), dtype=np.float64)
     if not ((terminal >= 0.0) & (terminal <= model.c_bar)).all():
         raise ValueError("terminal costs must lie in [0, c_bar]")
-    return TransitionTables(cost.T, corner_idx, corner_wt, cz_idx.T, cz_frac.T,
-                            terminal)
+    return TransitionTables(corner_idx, corner_wt, cz_idx.T, cz_frac.T, terminal)
 
 
 def backend() -> str:
@@ -159,28 +157,28 @@ def backend() -> str:
     return "numpy"
 
 
-def sweep_kernel(J_next, z_axis, cost, corner_idx, corner_wt, cz_idx, cz_frac):
+def sweep_kernel(J_next, cz_idx, cz_frac, corner_idx, corner_wt):
     """One backward Bellman step over every (state node, z node) pair.
 
-    Inputs are ``J_next`` (n_x, n_z), the z axis, and transition tables
-    shaped like the fields of ``TransitionTables``: ``k`` (node, weight)
-    slots per (x, u) in ``corner_idx`` and ``corner_wt`` (n_x, n_u, 1, k).
-    One gather of ``J_next`` columns per slot builds the z-major
-    (n_z, n_u, n_x) expectation ``q`` of ``J_next`` at z' = z, the backup
-    wherever z >= c(x, u); tables stored u-major (each (x, u) slice's
-    transpose C-contiguous) are read without copies. Below c(x, u) every z
-    continues from z' = c(x, u), and the expectation is linear in
-    ``J_next``, so the backup there is ``q`` interpolated at c. Entries at
-    or above c are bit-identical to a scalar loop that interpolates inside
-    every slot term; the others differ from it by at most
-    ``2 * gamma(k + 4) * max|J_next|`` per action, with
+    Inputs are ``J_next`` (n_x, n_z) and the ``TransitionTables`` fields
+    ``cz_idx``, ``cz_frac``, ``corner_idx``, ``corner_wt``, in the order
+    that lets the benchmark's kernel counter read n_u, 1 and k from the 3rd
+    to 5th arguments by position. One gather of ``J_next`` columns per slot
+    builds the z-major (n_z, n_u, n_x) expectation ``q`` at z' = z from
+    u-major tables without copies. The z nodes below c(x, u) are those below
+    its bracket, ``j < cz_idx + (cz_frac > 0)`` (``z_j < c`` on a z axis
+    that reaches c): they continue from z' = c, and the expectation is
+    linear in ``J_next``, so their backup is ``q`` interpolated at c.
+    Entries at or above c are bit-identical to a scalar loop that
+    interpolates inside every slot term; the others differ from it by at
+    most ``2 * gamma(k + 4) * max|J_next|`` per action, with
     ``gamma(n) = n u / (1 - n u)``, ``u = 2**-53`` and unit total weight.
     Returns the minimized values and the action indices, both (n_x, n_z)
     and C-contiguous: the lowest index whose backup is within ``TIE_TOL``
     of the minimum.
     """
-    n_z = J_next.shape[1]
-    n_x, n_u = cost.shape
+    n_x, n_z = J_next.shape
+    n_u = cz_idx.shape[1]
     JT = np.ascontiguousarray(J_next.T)
     # With no slot every q is 0; otherwise the first slot writes q.
     q = (np.empty if corner_idx.shape[3] else np.zeros)((n_z, n_u, n_x))
@@ -195,9 +193,9 @@ def sweep_kernel(J_next, z_axis, cost, corner_idx, corner_wt, cz_idx, cz_frac):
     m = n_u * n_x
     at = cz_idx.T * m + np.arange(m).reshape(n_u, n_x)  # flat index of q at c
     lo = q.take(at)
-    hi = q.take(np.minimum(cz_idx.T + 1, n_z - 1) * m + at % m)
+    hi = q.take(at + m, mode="clip")  # clips only if n_z = 1: no node below c
     np.copyto(q, (1.0 - cz_frac.T) * lo + cz_frac.T * hi,
-              where=z_axis[:, None, None] < cost.T)
+              where=np.arange(n_z)[:, None, None] < cz_idx.T + (cz_frac.T > 0))
     best = q.min(axis=1)
     action = np.argmax(q <= (best + TIE_TOL)[:, None], axis=1)
     return np.ascontiguousarray(best.T), np.ascontiguousarray(action.T)
@@ -224,8 +222,8 @@ def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,
         np.maximum(trans.terminal[:, None], grid.z_axis[None, :]) - s, 0.0)
     J = values[horizon]
     for t in range(horizon - 1, -1, -1):
-        J, U = sweep_kernel(J, grid.z_axis, trans.cost, trans.corner_idx,
-                            trans.corner_wt, trans.cz_idx, trans.cz_frac)
+        J, U = sweep_kernel(J, trans.cz_idx, trans.cz_frac, trans.corner_idx,
+                            trans.corner_wt)
         values[t] = J
         action_idx[t] = U
     return values, action_idx

@@ -5,7 +5,8 @@ transition tables and brackets values with ``grids.locate_batch``. The
 functions here do the same arithmetic one point at a time and share no
 code with those two, so tests can compare the vectorized path against them.
 ``unmerged_transitions`` builds the tables before the merge, one entry per
-(atom, corner); only the tie rule's tolerance ``dp.TIE_TOL`` is shared.
+(atom, corner), and ``stage_costs`` the cost table that the references'
+``z >= c`` rule reads; only the tie rule's tolerance ``dp.TIE_TOL`` is shared.
 
 ``nearest_on_axis`` is the direct nearest-node rule (a ``searchsorted``
 bracket, then the nearer end) that the grid's decision-point lookups must
@@ -107,6 +108,13 @@ def bellman_min(x, z, s, J_next, model: SystemModel, grid: AugmentedGrid):
     best = min(qs)
     return best, float(next(u for u, q in zip(grid.action_axis, qs)
                             if q <= best + TIE_TOL))
+
+
+def stage_costs(model: SystemModel, grid: AugmentedGrid) -> np.ndarray:
+    """c(x, u) at every (state node, grid action), (n_x, n_u), one point at
+    a time: the cost table of the references' ``z >= c`` rule."""
+    return np.array([[float(model.stage_cost(x, float(u))) for u in grid.action_axis]
+                     for x in grid.x_nodes()])
 
 
 def unmerged_transitions(model: SystemModel, grid: AugmentedGrid):

@@ -127,7 +127,8 @@ def sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx, corner_wt,
     n_g, n_s). Given the kernel's slots as one group of probability 1, each
     term goes through the same operations in the same order (and a product
     by 1.0 is exact), so values and actions are bit-identical, whatever the
-    tables' layout."""
+    tables' layout. It picks the z nodes below the cost by the float test
+    ``z < cost``, independently of the kernel's bracket rule."""
     n_z = J_next.shape[1]
     q = np.zeros(cost.shape + (n_z,))
     v = np.empty_like(q)

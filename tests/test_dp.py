@@ -9,20 +9,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from cvarsafe import (AugmentedGrid, Pmf, SystemModel, design_params,
-                      generate_corpus, make_stormwater_model,
+from cvarsafe import (AugmentedGrid, Pmf, SystemModel, TransitionTables,
+                      design_params, generate_corpus, make_stormwater_model,
                       precompute_transitions, smoke_disturbance, value_iteration)
 from cvarsafe.artifacts import write_tables_csv
 from cvarsafe.cli import _default_corpus
 from cvarsafe.dp import TIE_TOL, merge_entries, sweep_kernel
 from cvarsafe.grids import locate_batch
-from pointwise import backup_q, bellman_min, interp_xz, unmerged_transitions
+from pointwise import (backup_q, bellman_min, interp_xz, stage_costs,
+                       unmerged_transitions)
 from references import sweep_kernel_xmajor
 
 
 def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_frac):
-    """Reference Bellman step: one scalar loop per (x, z, u, atom, corner);
-    the action is the lowest index whose q is within TIE_TOL of the minimum."""
+    """Reference Bellman step: one scalar loop per (x, z, u, atom, corner),
+    interpolating at the cost wherever z < cost in floats; the action is
+    the lowest index whose q is within TIE_TOL of the minimum."""
     n_x, n_z = J_next.shape
     n_u = cost.shape[1]
     n_w = probs.shape[2]
@@ -60,6 +62,13 @@ def sweep_loops(J_next, z_axis, cost, probs, corner_idx, corner_wt, cz_idx, cz_f
             U_out[ix, jz] = next(iu for iu, q in enumerate(qs)
                                  if q <= J_out[ix, jz] + TIE_TOL)
     return J_out, U_out
+
+
+def kernel_step(J_next, z_axis, cost, corner_idx, corner_wt, cz_idx, cz_frac):
+    """``sweep_kernel`` called from the references' argument order; it reads
+    neither ``z_axis`` nor ``cost``, only their bracket ``cz_idx``,
+    ``cz_frac``."""
+    return sweep_kernel(J_next, cz_idx, cz_frac, corner_idx, corner_wt)
 
 
 def single_action(args, iu):
@@ -134,7 +143,7 @@ def kernel_bound(J_next, probs, corner_wt, slots=None):
 
 
 def assert_matches_reference(args, values, action_idx, exact=False):
-    """``sweep_kernel``'s result for ``args`` against ``sweep_loops`` on the
+    """``kernel_step``'s result for ``args`` against ``sweep_loops`` on the
     same slots as one group.
 
     Per action, the kernel's q (from single-action slices) equals the
@@ -152,7 +161,7 @@ def assert_matches_reference(args, values, action_idx, exact=False):
     ref_values, ref_idx = sweep_loops(*one_group(args))
     one = [single_action(args, iu) for iu in range(cost.shape[1])]
     ref_q = np.stack([sweep_loops(*one_group(a))[0] for a in one], axis=2)
-    got_q = np.stack([sweep_kernel(*a)[0] for a in one], axis=2)
+    got_q = np.stack([kernel_step(*a)[0] for a in one], axis=2)
     at_node = z_axis[None, :, None] >= cost[:, None, :]  # (n_x, n_z, n_u)
     assert np.array_equal(got_q[at_node], ref_q[at_node])
     assert np.all(np.abs(got_q - ref_q) <= bound)
@@ -175,12 +184,12 @@ def assert_near_argmin(ref_q, ref_values, ref_idx, action_idx, bound):
 
 
 def assert_merged_matches_reference(args, exact=False):
-    """``sweep_kernel`` on the merged ``args`` against ``sweep_loops`` on
+    """``kernel_step`` on the merged ``args`` against ``sweep_loops`` on
     ``args`` themselves: values within ``kernel_bound`` for the merged slot
     count, actions as in ``assert_matches_reference``, and with ``exact``
     everything bit-identical."""
     merged = merged_args(args)
-    values, action_idx = sweep_kernel(*merged)
+    values, action_idx = kernel_step(*merged)
     J_next, _, cost, probs, _, corner_wt = args[:6]
     bound = kernel_bound(J_next, probs, corner_wt, merged[3].shape[3])
     ref_values, ref_idx = sweep_loops(*args)
@@ -399,6 +408,46 @@ class TestTransitionRangeChecks:
             precompute_transitions(dataclasses.replace(model, dynamics=dyn), grid)
 
 
+class TestCostBracket:
+    """The kernel's one below-cost rule: z node j lies below c(x, u) when
+    ``j < cz_idx + (cz_frac > 0)``. On a z axis that reaches every cost
+    this is the set ``z_j < c`` that the references test in floats."""
+
+    @staticmethod
+    def assert_bracket_rule(model, grid):
+        trans = precompute_transitions(model, grid)
+        n_z = grid.z_axis.size
+        assert 0 <= trans.cz_idx.min() and trans.cz_idx.max() <= n_z - 2
+        assert 0.0 <= trans.cz_frac.min() and trans.cz_frac.max() <= 1.0
+        below = np.arange(n_z) < (trans.cz_idx + (trans.cz_frac > 0))[..., None]
+        cost = stage_costs(model, grid)
+        assert np.array_equal(below, grid.z_axis < cost[..., None])
+        return cost
+
+    @pytest.mark.parametrize("law", [None, smoke_disturbance()],
+                             ids=["default", "smoke"])
+    @pytest.mark.parametrize("design", "abcd")
+    def test_coarse_designs(self, design, law):
+        model = make_stormwater_model(design_params(design), law)
+        grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+        self.assert_bracket_rule(model, grid)
+
+    def test_oracle_grids(self):
+        for inst in _default_corpus() + generate_corpus(3, 200):
+            self.assert_bracket_rule(*inst.to_model_and_grid())
+
+    def test_costs_at_zero_on_nodes_between_and_at_cbar(self):
+        model = line_model(cost_scale=0.5)  # c(x) = x / 2 on [0, 2], c_bar = 1
+        grid = dataclasses.replace(line_grid(),
+                                   x_axes=(np.array([0.0, 0.5, 1.0, 2.0]),))
+        cost = self.assert_bracket_rule(model, grid)
+        assert set(cost.ravel()) == {0.0, 0.25, 0.5, 1.0}
+
+    def test_transition_tables_fields(self):
+        assert [f.name for f in dataclasses.fields(TransitionTables)] == [
+            "corner_idx", "corner_wt", "cz_idx", "cz_frac", "terminal"]
+
+
 class TestValueIteration:
     def test_single_step_identity(self):
         # with on-node transitions the recursion reduces to a direct formula
@@ -460,6 +509,7 @@ class TestValueIteration:
         J_next = values[1]
         probs, _, corner_wt = unmerged_transitions(model, grid)
         bound = kernel_bound(J_next, probs, corner_wt, trans.corner_idx.shape[3])
+        cost = stage_costs(model, grid)
         below = 0
         for flat in range(0, grid.n_xnodes, 3):
             for jz in range(grid.z_axis.size):
@@ -468,7 +518,7 @@ class TestValueIteration:
                 got = values[0][flat, jz]
                 got_action = grid.action_axis[action_idx[0, flat, jz]]
                 assert abs(got - value) <= bound
-                if z >= trans.cost[flat].max():
+                if z >= cost[flat].max():
                     assert got_action == action
                     continue
                 below += 1
@@ -620,7 +670,7 @@ class TestSweepKernel:
         # ties; within kernel_bound elsewhere (see assert_matches_reference).
         tie, dyadic, args = case
         args = merged_args(args)
-        values, action_idx = sweep_kernel(*args)
+        values, action_idx = kernel_step(*args)
         assert action_idx.dtype == np.int64
         assert_matches_reference(args, values, action_idx, exact=dyadic)
         if tie:
@@ -647,7 +697,7 @@ class TestSweepKernel:
         corner_idx = np.array([[0, 1], [0, 1]]).reshape(2, 2, 1, 1)
         args = (J_next, np.zeros(1), cost, corner_idx, np.ones((2, 2, 1, 1)),
                 np.zeros((2, 2), np.int64), cost)
-        values, action_idx = sweep_kernel(*args)
+        values, action_idx = kernel_step(*args)
         assert np.all(values == 1.0 - gap)
         assert np.all(action_idx == (0 if lowest_wins else 1))
         assert np.array_equal(sweep_loops(*one_group(args))[1], action_idx)
@@ -657,9 +707,31 @@ class TestSweepKernel:
         grid = AugmentedGrid.uniform(model, (5, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
         values, _ = value_iteration(0.5, model, grid, trans)
-        args = (values[1], grid.z_axis, trans.cost, trans.corner_idx,
+        args = (values[1], grid.z_axis, stage_costs(model, grid), trans.corner_idx,
                 trans.corner_wt, trans.cz_idx, trans.cz_frac)
-        assert_matches_reference(args, *sweep_kernel(*args))
+        assert_matches_reference(args, *kernel_step(*args))
+
+    def test_z_axis_below_the_largest_cost(self):
+        # Above the z axis's top node the bracket is (n_z - 2, 1), which
+        # leaves the top node out of the below-cost set; the references'
+        # z >= c rule fills it with 0 * q[n_z - 2] + 1 * q[n_z - 1], its
+        # own value. The step still matches sweep_loops exactly at or above
+        # the cost and within kernel_bound below it, and exactly on the top
+        # node.
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        grid = dataclasses.replace(AugmentedGrid.uniform(model, (5, 5), 4, 3, 3),
+                                   z_axis=np.array([0.0, 0.4, 0.9]))
+        trans = precompute_transitions(model, grid)
+        cost = stage_costs(model, grid)
+        assert (cost > grid.z_axis[-1]).any() and (cost < grid.z_axis[-1]).any()
+        values, _ = value_iteration(0.5, model, grid, trans)
+        args = (values[1], grid.z_axis, cost, trans.corner_idx, trans.corner_wt,
+                trans.cz_idx, trans.cz_frac)
+        assert_matches_reference(args, *kernel_step(*args))
+        for iu in range(grid.action_axis.size):
+            one = single_action(args, iu)
+            assert np.array_equal(kernel_step(*one)[0][:, -1],
+                                  sweep_loops(*one_group(one))[0][:, -1])
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_merged_operator_layout(self, law):
@@ -676,11 +748,11 @@ class TestSweepKernel:
         k = trans.corner_idx.shape[3]
         assert k <= n_w * 4
         assert trans.corner_idx.shape == trans.corner_wt.shape == (20, 3, 1, k)
-        assert trans.cost.shape == trans.cz_idx.shape == trans.cz_frac.shape == (20, 3)
+        assert trans.cz_idx.shape == trans.cz_frac.shape == (20, 3)
         for j in range(k):
             assert trans.corner_idx[:, :, 0, j].T.flags.c_contiguous
             assert trans.corner_wt[:, :, 0, j].T.flags.c_contiguous
-        for table in (trans.cost, trans.cz_idx, trans.cz_frac):
+        for table in (trans.cz_idx, trans.cz_frac):
             assert table.T.flags.c_contiguous
         wt = trans.corner_wt[:, :, 0]
         assert wt.min() >= 0.0
@@ -696,8 +768,9 @@ class TestSweepKernel:
         # The atoms are evaluated and merged one at a time, and each merged
         # slot column is released once copied into its table, so building
         # the operator on a 49^2 grid (default law, 12 slots) peaks below 1.7
-        # times the bytes of the tables it returns (1.56; 1.93 when the
-        # columns lived until both tables were stacked).
+        # times the bytes of the tables it returns (1.62; 1.56 of tables that
+        # also held the stage costs, 1.93 when the columns lived until both
+        # tables were stacked).
         model = make_stormwater_model()
         grid = AugmentedGrid.uniform(model, (49, 49), 11, 11, 21)
         tracemalloc.start()
@@ -734,8 +807,8 @@ class TestSweepKernel:
         trans = precompute_transitions(model, grid)
         values, action_idx = value_iteration(0.5, model, grid, trans)
         probs, corner_idx, corner_wt = unmerged_transitions(model, grid)
-        tables = (trans.cost, probs, corner_idx, corner_wt, trans.cz_idx,
-                  trans.cz_frac)
+        tables = (stage_costs(model, grid), probs, corner_idx, corner_wt,
+                  trans.cz_idx, trans.cz_frac)
         J = values[-1]
         k = trans.corner_idx.shape[3]
         for t in range(model.horizon - 1, -1, -1):
@@ -760,8 +833,8 @@ class TestSweepKernel:
         for weight in (1.0, 0.0):
             corner_wt = np.full((1, 2, groups, 1), weight)
             merged = merge(probs, corner_idx, corner_wt)
-            values, action_idx = sweep_kernel(J_next, z_axis, cost, *merged,
-                                              cz_idx, cz_frac)
+            values, action_idx = kernel_step(J_next, z_axis, cost, *merged,
+                                             cz_idx, cz_frac)
         assert merged[0].shape == (1, 2, 1, 0)
         unmerged = sweep_kernel_xmajor(J_next, z_axis, cost, probs, corner_idx[..., :0],
                                        corner_wt[..., :0], cz_idx, cz_frac)
@@ -781,19 +854,20 @@ class TestSweepKernel:
         grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
         trans = precompute_transitions(model, grid)
         values, action_idx = value_iteration(0.5, model, grid, trans)
-        merged = (trans.cost, trans.corner_idx, trans.corner_wt,
-                  trans.cz_idx, trans.cz_frac)
+        cost = stage_costs(model, grid)
+        merged = (cost, trans.corner_idx, trans.corner_wt, trans.cz_idx,
+                  trans.cz_frac)
         operators = [merged]
         if law is None:
             probs, corner_idx, corner_wt = unmerged_transitions(model, grid)
             slots = (grid.n_xnodes, grid.action_axis.size, 1, -1)
-            operators.append((trans.cost, corner_idx.reshape(slots),
+            operators.append((cost, corner_idx.reshape(slots),
                               (probs[..., None] * corner_wt).reshape(slots),
                               trans.cz_idx, trans.cz_frac))
         for tables in operators:
             for t in range(model.horizon):
                 args = (values[t + 1], grid.z_axis, *tables)
-                got = sweep_kernel(*args)
+                got = kernel_step(*args)
                 ref = sweep_kernel_xmajor(*one_group(args))
                 assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
                 assert np.array_equal(got[1], ref[1])
@@ -810,12 +884,10 @@ class TestSweepKernel:
         grid = AugmentedGrid.uniform(model, (6, 5), 4, 3, 3)
         trans = precompute_transitions(model, grid)
         values, _ = value_iteration(0.5, model, grid, trans)
-        tables = (trans.cost, trans.corner_idx, trans.corner_wt,
-                  trans.cz_idx, trans.cz_frac)
+        tables = (trans.cz_idx, trans.cz_frac, trans.corner_idx, trans.corner_wt)
         for J_next in values[:3]:
-            built = sweep_kernel(J_next, grid.z_axis, *tables)
-            copied = sweep_kernel(J_next, grid.z_axis,
-                                  *map(np.ascontiguousarray, tables))
+            built = sweep_kernel(J_next, *tables)
+            copied = sweep_kernel(J_next, *map(np.ascontiguousarray, tables))
             assert np.array_equal(built[0], copied[0])
             assert np.array_equal(built[1], copied[1])
 

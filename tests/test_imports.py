@@ -1,6 +1,7 @@
 """Import hygiene: no unused module-level imports, no function-local
-imports in the library, no scipy at run time, and every library name the
-benchmark's tracer wraps still resolves.
+imports in the library, no scipy at run time, every library name the
+benchmark's tracer wraps still resolves, and its kernel counter reads the
+sizes of a real solve's operator.
 
 The library modules and the test files are parsed with ``ast``; a name
 bound by a top-level ``import`` counts as used when it appears as a name
@@ -89,13 +90,18 @@ def test_package_imports_without_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def import_tracing():
+    """The benchmark's tracer module, from ``perfbench/``."""
+    sys.path[:0] = [p for p in (str(ROOT / "perfbench"),) if p not in sys.path]
+    return importlib.import_module("tracing")
+
+
 def test_traced_names_resolve():
     # Every name the benchmark's tracer times (TIMES), counts (_COUNTERS) or
     # wraps beyond __all__ (_EXTRA_FUNCTIONS, _EXTRA_METHODS) must be one it
     # wraps: a traced function that is renamed or deleted would read 0 in its
     # per-layer metric and fail nothing else.
-    sys.path[:0] = [p for p in (str(ROOT / "perfbench"),) if p not in sys.path]
-    tracing = importlib.import_module("tracing")
+    tracing = import_tracing()
     names = {n for fns in tracing.TIMES.values() for n in fns}
     names.update(tracing._COUNTERS)
     names.update(f"{layer}.{fn}" for layer, fns in tracing._EXTRA_FUNCTIONS.items()
@@ -118,3 +124,29 @@ def test_traced_names_resolve():
     for layer in tracing.LAYERS:
         module = importlib.import_module(f"cvarsafe.{layer}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], layer
+
+
+def test_traced_kernel_counts_read_the_operator_sizes():
+    # The tracer's kernel counter unpacks the kernel's arguments by position
+    # and reads n_u, the atom count and the slot count from their shapes: an
+    # argument order that makes it misread one changes the benchmark's flop
+    # count, so each Bellman step of a coarse solve must count 6k + 3 flops
+    # per (node, z, action) with one merged atom of k slots.
+    tracing = import_tracing()
+    cvarsafe = importlib.import_module("cvarsafe")
+    model = cvarsafe.make_stormwater_model()
+    grid = cvarsafe.AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
+    trans = cvarsafe.precompute_transitions(model, grid)
+    n_x, n_z = grid.n_xnodes, grid.z_axis.size
+    n_u, k = trans.cz_idx.shape[1], trans.corner_idx.shape[3]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cvarsafe.dp.value_iteration(0.5, model, grid, trans)
+    finally:
+        tracer.uninstall()
+    kernels = [s for s in tracer.spans if s.name == "dp.sweep_kernel"]
+    assert len(kernels) == model.horizon
+    for span in kernels:
+        assert span.work["dp.node_updates"] == n_x * n_z
+        assert span.work["dp.kernel_flops_computed"] == n_x * n_z * n_u * (6 * k + 3)
