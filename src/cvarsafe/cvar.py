@@ -3,7 +3,8 @@
 Value-at-Risk, Conditional Value-at-Risk (dual and tail forms), and the
 expected-excess building block they share. Everything operates on ``Pmf``,
 a finite probability mass function with sorted, merged atoms, so quantiles
-are plain CDF scans and the dual minimizer always sits on an atom.
+are plain CDF scans and the dual minimizer always sits on an atom: the
+dual form scans the atoms and is exact.
 
 All functions are pure and thread-safe.
 """
@@ -81,21 +82,6 @@ class Pmf:
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
-    @property
-    def min_value(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values[-1])
-
-    def shift(self, a: float) -> "Pmf":
-        """Pmf of Y + a (translation of every atom)."""
-        return Pmf._merged(self.values + float(a), self.probs.copy())
-
-    def atoms(self):
-        return list(zip(self.values.tolist(), self.probs.tolist()))
-
 
 def check_prob_rows(probs: np.ndarray, what: str) -> None:
     """Raise ValueError unless all probabilities are >= 0 and each row (last
@@ -147,25 +133,21 @@ def minimize_dual(s, excess, alpha):
     return objective, objective.argmin(axis=0)
 
 
-def cvar_dual(dist: Pmf, alpha, s_grid=None):
+def cvar_dual(dist: Pmf, alpha):
     """CVaR at level alpha via the dual form min_s s + E[max(Y-s,0)] / alpha.
 
-    The minimization scans ``s_grid``; for a finite pmf the exact minimizer
-    lies on an atom, so the default grid (the atom values) is exact. Ties
+    For a finite pmf the minimizer lies on an atom, so the scan over the
+    sorted, distinct atoms ``s = dist.values`` gives the exact CVaR. Ties
     resolve to the smallest minimizing s.
 
     Returns
     -------
     (value, s_star) : tuple of floats
     """
-    if s_grid is None:
-        s_grid = dist.values
-    s_grid = np.sort(np.asarray(s_grid, dtype=np.float64).ravel())
-    if s_grid.size == 0:
-        raise ValueError("s_grid must be nonempty")
-    excess = np.maximum(dist.values[None, :] - s_grid[:, None], 0.0) @ dist.probs
-    objective, best = minimize_dual(s_grid, excess, alpha)
-    return float(objective[best]), float(s_grid[best])
+    s = dist.values
+    excess = np.maximum(s[None, :] - s[:, None], 0.0) @ dist.probs
+    objective, best = minimize_dual(s, excess, alpha)
+    return float(objective[best]), float(s[best])
 
 
 def cvar_tail(dist: Pmf, alpha) -> float:

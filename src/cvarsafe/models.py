@@ -224,7 +224,6 @@ _RUNOFF_PROBS = (
 
 RUNOFF_MEAN = 12.2       # cfs
 RUNOFF_VARIANCE = 9.9    # cfs^2
-RUNOFF_SKEW = 0.74
 
 
 def default_disturbance() -> Pmf:

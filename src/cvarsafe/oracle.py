@@ -155,8 +155,9 @@ class TinyInstance:
     def to_model_and_grid(self):
         """Adapter to the grid pipeline with zero interpolation error.
 
-        State nodes are the instance states, z nodes the reachable
-        running-max values, and s nodes the cost/terminal breakpoints, so
+        State nodes are the instance states; the z and s axes are both the
+        breakpoint axis ``s_breakpoints()``, which holds every reachable
+        running maximum and every ``s`` at which the optimum can sit, so
         every DP lookup lands exactly on a node.
         """
         states, actions = self.states, self.actions
@@ -189,13 +190,12 @@ class TinyInstance:
             disturbance=dist,
             c_bar=float(self.c_bar),
         )
-        z_nodes = sorted({0.0, float(self.c_bar)} | {float(c) for c in cost.ravel()})
-        s_nodes = self.s_breakpoints()
+        breakpoints = np.asarray(self.s_breakpoints())
         grid = AugmentedGrid(
             x_axes=(states,),
-            z_axis=np.asarray(z_nodes),
+            z_axis=breakpoints,
             action_axis=actions,
-            s_axis=np.asarray(s_nodes),
+            s_axis=breakpoints,
         )
         return model, grid
 

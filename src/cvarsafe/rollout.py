@@ -235,12 +235,12 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
     return RolloutBatch(states, zs, acts, shocks, y_prime)
 
 
-def estimate_risk(batch: RolloutBatch, alpha, s_star: float = None) -> dict:
+def estimate_risk(batch: RolloutBatch, alpha, s_star: float) -> dict:
     """Empirical risk statistics of the realized maximum costs.
 
     Builds the empirical pmf of Y' and evaluates VaR/CVaR through the risk
-    functionals; ``excess_hat`` is the sample mean of max(Y' - s, 0)
-    at the policy's dual parameter together with its standard error.
+    functionals; ``excess_hat`` is the sample mean of max(Y' - s_star, 0),
+    reported with its standard error ``excess_stderr``.
     """
     if batch.num == 0:
         raise ValueError("empty rollout batch")
@@ -250,15 +250,13 @@ def estimate_risk(batch: RolloutBatch, alpha, s_star: float = None) -> dict:
         cvar_hat = dist.mean()
     else:
         cvar_hat = cvar_tail(dist, a)
-    out = {
+    excess = np.maximum(batch.y_prime - float(s_star), 0.0)
+    return {
         "num": batch.num,
         "cvar_hat": float(cvar_hat),
         "var_hat": var(dist, a),
         "mean_hat": dist.mean(),
+        "excess_hat": float(excess.mean()),
+        "excess_stderr": float(excess.std(ddof=1) / np.sqrt(batch.num))
+        if batch.num > 1 else 0.0,
     }
-    if s_star is not None:
-        excess = np.maximum(batch.y_prime - float(s_star), 0.0)
-        out["excess_hat"] = float(excess.mean())
-        out["excess_stderr"] = float(excess.std(ddof=1) / np.sqrt(batch.num)) \
-            if batch.num > 1 else 0.0
-    return out

@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 
 from cvarsafe import (Pmf, TinyInstance, cvar_dual, cvar_tail,
                       expected_excess, make_stormwater_model, risk_value, var)
+from cvarsafe import oracle
+from cvarsafe.cli import _default_corpus
+from cvarsafe.oracle import _y_distribution
 
 QUARTER = Pmf([1, 2, 3, 4], [0.25, 0.25, 0.25, 0.25])
 COIN = Pmf([0, 2], [0.5, 0.5])
@@ -53,13 +56,23 @@ class TestPmf:
             with pytest.raises(ValueError, match="finite"):
                 Pmf.from_samples(bad)
 
-    def test_shift(self):
-        q = COIN.shift(1.5)
-        assert q.values.tolist() == [1.5, 3.5]
-        assert q.probs.tolist() == [0.5, 0.5]
-
     def test_mean(self):
         assert QUARTER.mean() == 2.5
+
+    def test_every_constructor_gives_strictly_increasing_atoms(self):
+        # cvar_dual scans the atoms as its s axis and leans on this order.
+        rng = np.random.default_rng(3)
+        built = [Pmf([2.0, 0.0, 2.0, -1.0], [0.25, 0.25, 0.25, 0.25]),
+                 Pmf.from_samples(rng.integers(-5, 5, 200) * 0.5)]
+        built += [random_pmf(rng) for _ in range(50)]
+        for inst in _default_corpus():
+            layers = inst.reachable_nodes()
+            slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
+            built += [_y_distribution(inst, lambda *node, _a=dict(zip(slots, a)):
+                                      _a.get(node))
+                      for a in oracle._canonical_policies(inst, layers)]
+        for p in built:
+            assert (np.diff(p.values) > 0).all(), p
 
 
 class TestVar:
@@ -75,7 +88,7 @@ class TestVar:
         target = 1.0 - 0.25
         cdf = 0.0
         expected = None
-        for v, p in QUARTER.atoms():
+        for v, p in zip(QUARTER.values, QUARTER.probs):
             cdf += p
             if cdf >= target:
                 expected = v
@@ -100,8 +113,8 @@ class TestExpectedExcess:
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = random_pmf(rng)
-            assert expected_excess(p, p.max_value) == 0.0
-            assert expected_excess(p, p.max_value + 1.0) == 0.0
+            assert expected_excess(p, p.values[-1]) == 0.0
+            assert expected_excess(p, p.values[-1] + 1.0) == 0.0
 
     def test_below_min_equals_mean_minus_s(self):
         assert expected_excess(QUARTER, 0.0) == 2.5
@@ -109,7 +122,7 @@ class TestExpectedExcess:
     def test_nonincreasing_convex(self):
         rng = np.random.default_rng(1)
         p = random_pmf(rng)
-        s = np.linspace(p.min_value - 1, p.max_value + 1, 41)
+        s = np.linspace(p.values[0] - 1, p.values[-1] + 1, 41)
         e = np.array([expected_excess(p, si) for si in s])
         assert np.all(np.diff(e) <= 1e-12)
         assert np.all(np.diff(e, 2) >= -1e-12)
@@ -117,22 +130,27 @@ class TestExpectedExcess:
 
 class TestCvarDual:
     def test_coin_flat_objective_smallest_minimizer(self):
-        value, s_star = cvar_dual(COIN, 0.5, s_grid=[0.0, 1.0, 2.0])
+        value, s_star = cvar_dual(COIN, 0.5)
         assert value == 2.0
         assert s_star == 0.0
 
     def test_alpha_one_is_mean(self):
         value, s_star = cvar_dual(QUARTER, 1.0)
         assert_allclose(value, QUARTER.mean(), atol=1e-12)
-        assert s_star == QUARTER.min_value
+        assert s_star == QUARTER.values[0]
 
     def test_degenerate(self):
         value, s_star = cvar_dual(Pmf([1.25], [1.0]), 0.3)
         assert (value, s_star) == (1.25, 1.25)
 
-    def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            cvar_dual(COIN, 0.5, s_grid=[])
+    def test_ignores_atom_order(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            p = random_pmf(rng)
+            order = rng.permutation(len(p))
+            shuffled = Pmf(p.values[order], p.probs[order])
+            for alpha in (0.05, 0.5, 1.0):
+                assert cvar_dual(shuffled, alpha) == cvar_dual(p, alpha)
 
 
 class TestCvarTail:
@@ -169,9 +187,10 @@ class TestRiskProperties:
         for _ in range(300):
             p = random_pmf(rng)
             a = float(rng.normal(0, 10))
+            q = Pmf(p.values + a, p.probs)
             for alpha in self.ALPHAS + (1.0,):
-                base, _ = cvar_dual(p, alpha, s_grid=p.values)
-                shifted, _ = cvar_dual(p.shift(a), alpha, s_grid=p.values + a)
+                base, _ = cvar_dual(p, alpha)
+                shifted, _ = cvar_dual(q, alpha)
                 assert abs(shifted - (base + a)) <= 1e-10
 
     def test_monotone_in_alpha_and_bounded(self):
@@ -183,14 +202,14 @@ class TestRiskProperties:
             # alpha up => CVaR down, never below the mean, never above the max
             assert np.all(np.diff(values) <= 1e-10)
             assert values[-1] >= p.mean() - 1e-10
-            assert values[0] <= p.max_value + 1e-10
+            assert values[0] <= p.values[-1] + 1e-10
 
     def test_objective_lipschitz_in_s(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
             p = random_pmf(rng)
             for alpha in self.ALPHAS:
-                s = np.linspace(p.min_value - 1, p.max_value + 1, 23)
+                s = np.linspace(p.values[0] - 1, p.values[-1] + 1, 23)
                 L = s + np.array([expected_excess(p, si) for si in s]) / alpha
                 bound = np.diff(s) * (1 + alpha) / alpha
                 assert np.all(np.abs(np.diff(L)) <= bound + 1e-12)
@@ -200,10 +219,10 @@ class TestRiskProperties:
         # a nonpositive minimum atom
         p = Pmf([-2.0, 0.5, 1.5], [0.2, 0.5, 0.3])
         for alpha in self.ALPHAS:
-            for s in (p.max_value, p.max_value + 3.0):
+            for s in (p.values[-1], p.values[-1] + 3.0):
                 L = s + expected_excess(p, s) / alpha
                 assert_allclose(L, s, atol=1e-12)
-            for s in (p.min_value, p.min_value - 4.0):
+            for s in (p.values[0], p.values[0] - 4.0):
                 L = s + expected_excess(p, s) / alpha
                 assert_allclose(L, (p.mean() - (1 - alpha) * s) / alpha, atol=1e-12)
 
@@ -240,13 +259,11 @@ class TestSharedRules:
             law(np.array(probs))
 
     def test_risk_value_matches_cvar_dual_bit_for_bit(self):
+        # Each pmf on its own atoms, the s axis that cvar_dual scans.
         rng = np.random.default_rng(11)
-        s = np.linspace(-12.0, 12.0, 49)
-        pmfs = [random_pmf(rng) for _ in range(300)]
-        v0 = np.stack([np.maximum(p.values[None, :] - s[:, None], 0.0) @ p.probs
-                       for p in pmfs], axis=1)
-        for alpha in (0.05, 0.25, 0.5, 0.99, 1.0):
-            w_star, s_star = risk_value(s, v0, alpha)
-            dual = np.array([cvar_dual(p, alpha, s_grid=s) for p in pmfs])
-            assert np.array_equal(w_star, dual[:, 0])
-            assert np.array_equal(s_star, dual[:, 1])
+        for _ in range(300):
+            p = random_pmf(rng)
+            excess = np.maximum(p.values[None, :] - p.values[:, None], 0.0) @ p.probs
+            for alpha in (0.05, 0.25, 0.5, 0.99, 1.0):
+                w_star, s_star = risk_value(p.values, excess[:, None], alpha)
+                assert (w_star[0], s_star[0]) == cvar_dual(p, alpha)

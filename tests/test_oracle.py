@@ -13,6 +13,7 @@ from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
                       random_instance, save_corpus)
 from cvarsafe import oracle
 from cvarsafe.cli import _ORACLE_ALPHAS, _default_corpus
+from cvarsafe.dp import precompute_transitions
 from cvarsafe.oracle import _excess_dp, _y_distribution
 from pointwise import expectation_dp
 from references import (exact_optimal_cvar_history, exact_optimal_cvar_loop,
@@ -228,6 +229,24 @@ class TestReachability:
         assert layers[0] == [(0, 0.0)]
         nodes = sum(len(l) for l in layers[:-1])
         assert inst.policy_count() == inst.n_actions ** nodes
+
+    def test_grid_has_one_breakpoint_axis(self):
+        # z and s share the breakpoint axis: it starts at 0 and holds every
+        # reachable running maximum and every stage cost, so each lookup of
+        # max(z, c) lands on a node.
+        instances = list(_default_corpus())
+        for seed in range(6):
+            instances += generate_corpus(seed, 60)
+        for inst in instances:
+            model, grid = inst.to_model_and_grid()
+            assert np.array_equal(grid.z_axis, grid.s_axis)
+            assert grid.z_axis.tolist() == inst.s_breakpoints()
+            assert grid.z_axis[0] == 0.0
+            nodes = set(grid.z_axis.tolist())
+            assert {z for layer in inst.reachable_nodes() for _, z in layer} <= nodes
+            # A cost on a node brackets with fraction 0 (or 1 at the top node).
+            cz_frac = precompute_transitions(model, grid).cz_frac
+            assert np.isin(cz_frac, (0.0, 1.0)).all()
 
     @pytest.mark.parametrize("corpus", ["shipped", 11])
     def test_canonical_policies_are_first_of_each_signature(self, corpus):

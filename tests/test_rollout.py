@@ -394,7 +394,7 @@ class TestEstimateRisk:
         model, grid, ds = small_setup()
         policy = synthesize_policy(np.array([3.0, 4.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 200, seed=7, model=model)
-        stats = estimate_risk(batch, 0.5)
+        stats = estimate_risk(batch, 0.5, policy.s_star)
         pmf = Pmf.from_samples(batch.y_prime)
         assert stats["cvar_hat"] == pytest.approx(
             cvar_dual(pmf, 0.5)[0], abs=1e-10)
@@ -404,7 +404,7 @@ class TestEstimateRisk:
         policy = synthesize_policy(np.array([2.0, 2.0]), 0.5, ds, model, grid)
         batch = rollout(policy, 0, seed=0, model=model)
         with pytest.raises(ValueError):
-            estimate_risk(batch, 0.5)
+            estimate_risk(batch, 0.5, policy.s_star)
 
 
 class TestMonteCarloConsistency:
