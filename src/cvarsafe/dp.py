@@ -124,8 +124,8 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
 
     def entries():
         """(next node, p_w * wt_c) of each (atom, corner), one atom at a time."""
-        for iw in range(w_vals.shape[2]):
-            nxt = np.asarray(model.dynamics(x, u, w_vals[:, :, iw]), dtype=np.float64)
+        for iw in range(w_vals.shape[-1]):
+            nxt = np.asarray(model.dynamics(x, u, w_vals[..., iw]), dtype=np.float64)
             located = []
             for d, ax in enumerate(grid.x_axes):
                 coord = np.broadcast_to(nxt[..., d], (n_u, n_x))
@@ -142,7 +142,7 @@ def precompute_transitions(model: SystemModel, grid: AugmentedGrid) -> Transitio
                     wt *= frac if up else 1.0 - frac
                     upper = np.minimum(idx + up, grid.x_axes[d].size - 1)
                     node += upper * grid._x_strides[d]
-                yield node, probs[:, :, iw] * wt
+                yield node, probs[..., iw] * wt
 
     corner_idx, corner_wt = merge_entries(entries(), (n_u, n_x))
     cz_idx, cz_frac = locate_batch(grid.z_axis, cost)

@@ -250,7 +250,10 @@ class SystemModel:
     ``(..., state_dim)``). Stage and terminal costs take values in [0, c_bar].
     ``disturbance``, read only through ``disturbance_rows``, is a static ``Pmf``
     or a vectorized ``(x, u) -> (values, probs)`` of one (..., n_w) atom row per
-    (x, u); short rows are padded with zero-probability copies of their last atom."""
+    (x, u); short rows are padded with zero-probability copies of their last atom.
+    Rows come at the shape the law gives them, broadcastable against the batch:
+    a ``Pmf`` has one (n_w,) row for every state, so its readers never copy it
+    per state."""
 
     state_dim: int
     state_bounds: tuple            # ((lo, hi), ...) per state dimension
@@ -263,20 +266,22 @@ class SystemModel:
     c_bar: float
 
     def disturbance_rows(self, x, u):
-        """Atom values and probs at (x, u), read-only arrays of shape (*batch, n_w)
-        where batch broadcasts x.shape[:-1] with u.shape. A callable's rows must
-        share one shape and pass ``cvar.check_prob_rows``, else ValueError."""
+        """Atom values and probs at (x, u), not to be written to: arrays of one
+        shape that broadcasts against (*batch, n_w), where batch broadcasts
+        x.shape[:-1] with u.shape. A ``Pmf`` gives its own (n_w,) arrays; a
+        callable gives its rows, which must share one shape, broadcast against
+        the batch and pass ``cvar.check_prob_rows``, else ValueError."""
         d = self.disturbance
         if isinstance(d, Pmf):
-            values, probs = d.values, d.probs
-        else:
-            values, probs = (np.asarray(a, dtype=np.float64) for a in d(x, u))
-            if values.shape != probs.shape or probs.ndim == 0:
-                raise ValueError(f"disturbance rows {values.shape}, {probs.shape} "
-                                 "need one (..., n_w) shape")
-            check_prob_rows(probs, "disturbance")
-        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)) + probs.shape[-1:]
-        return np.broadcast_to(values, shape), np.broadcast_to(probs, shape)
+            return d.values, d.probs
+        values, probs = (np.asarray(a, dtype=np.float64) for a in d(x, u))
+        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u))
+        if (values.shape != probs.shape or probs.ndim == 0
+                or np.broadcast_shapes(batch, probs.shape[:-1]) != batch):
+            raise ValueError(f"disturbance rows {values.shape}, {probs.shape} "
+                             f"need one (..., n_w) shape that broadcasts to {batch}")
+        check_prob_rows(probs, "disturbance")
+        return values, probs
 
     @property
     def static_disturbance(self) -> Optional[Pmf]:

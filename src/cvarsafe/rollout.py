@@ -16,12 +16,17 @@ Records are time-major: ``RolloutBatch.states`` has shape
 Every rollout starts at ``(x0, z = 0)``, so with ``n_w`` atoms step t has
 at most ``n_w**t`` distinct augmented states. ``rollout`` builds once per
 call the first D levels of this scenario tree: level t holds its nodes'
-states, running maxima, actions (the same nearest-node table lookup as a
-full step), atom values and CDF values; child ``node * n_w + k`` follows
-atom k, and level t + 1 comes from one ``dynamics`` and one ``stage_cost``
-call on (L, n_w) broadcast inputs. D is the deepest level, up to the
-horizon, with at most ``min(num, _TREE_NODES)`` nodes (15 on the two-atom
-law, 2.6 MB of levels; 4 on the nine-atom law, 0.3 MB). The tree evaluates
+states, running maxima and actions (the same nearest-node table lookup as
+a full step), and the law's atom values and CDF at the shape that
+``SystemModel.disturbance_rows`` gives them: a ``Pmf``'s one (n_w,) row
+and n_w - 1 scalars, or a callable law's rows, one per node where they vary
+by state. Child ``node * n_w + k`` follows atom k, and level t + 1 comes
+from one ``dynamics`` and one ``stage_cost`` call on (L, n_w) broadcast
+inputs. D is the deepest level, up to the horizon, with at most
+``min(num, _TREE_NODES)`` nodes. With a ``Pmf`` a level takes 32 bytes per
+node on two-dimensional states: 17 levels and 7.3 MB, level D's states
+included, for 1e6 rollouts on the two-atom law; 5 levels and 1.7 MB for
+1e5 rollouts on the nine-atom law. The tree evaluates
 every atom of every node, also atoms no rollout may draw, such as the
 zero-probability padding atoms of a callable law. So D is also at most
 the first level holding a non-finite state, which only such atoms can lead
@@ -34,7 +39,8 @@ order, so the blocks' draws laid end to end are the rows of a single
 (num, horizon) draw matrix: row l is a deterministic function of
 (seed, l, horizon) whatever the block size. For t < D a block only walks
 the tree: a rollout's atom counts its node's CDF values at or below its
-draw, as a full step does, and its records are gathered from the level.
+draw, as a full step does (a ``Pmf``'s scalars need no gather), and its
+records are gathered from the level.
 From step D on, each step does the lookups, sampling and dynamics on the
 block's plain ``(m, state_dim)`` and ``(m,)`` arrays, and a block below
 ``kept`` writes each step's leading columns straight into the records.
@@ -68,9 +74,13 @@ __all__ = ["PrecommitmentPolicy", "RolloutBatch", "synthesize_policy",
 # enough elements. Blocks of 4096-32768 ran within noise of each other.
 _BLOCK = 8192
 
-# Most nodes in the scenario tree's deepest level (module docstring), four
-# blocks: 1e6 two-atom rollouts walk the tree for 15 of their 20 steps.
-_TREE_NODES = 1 << 15
+# Most nodes in the scenario tree's deepest level (module docstring), 16
+# blocks: 1e6 two-atom rollouts walk the tree for 17 of their 20 steps, 1e5
+# nine-atom ones for 5. On the deploy-mc inputs (2-core VM) one rollout call
+# took a median 0.40, 0.36, 0.32 and 0.31 s at 2**15 to 2**18, and its
+# tracemalloc peak was 15, 17, 22 and 35 MB: 2**17 is the last doubling
+# that pays for its memory.
+_TREE_NODES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,10 @@ def _actions(policy: PrecommitmentPolicy, t: int, x, z):
 
 
 def _cdf_rows(model: SystemModel, x, u):
-    """Atom values (*batch, n_w) at (x, u) and the law's CDF as n_w - 1
-    arrays of shape batch: entry k is ``probs[..., 0] + ... + probs[..., k]``,
-    accumulated in that order from 0."""
+    """Atom values at (x, u), at the shape ``disturbance_rows`` gives them, and
+    the law's CDF as n_w - 1 arrays of the rows' batch shape (0-d for a
+    ``Pmf``): entry k is ``probs[..., 0] + ... + probs[..., k]``, accumulated
+    in that order from 0."""
     values, probs = model.disturbance_rows(x, u)
     cdf = [np.zeros(probs.shape[:-1])]
     for k in range(probs.shape[-1] - 1):
@@ -146,11 +157,12 @@ def _cdf_rows(model: SystemModel, x, u):
 
 def _atoms(cdf, draws, rows=None):
     """Inverse-CDF atom index per draw: the count of CDF values at most the
-    draw, so at most n_w - 1. Draw i reads CDF entry ``rows[i]``, or entry i
-    when ``rows`` is None."""
+    draw, so at most n_w - 1. Draw i reads CDF entry ``rows[i]`` where the
+    entries vary by row, or entry i when ``rows`` is None; a CDF of one entry
+    is read by every draw."""
     idx = np.zeros(draws.shape, dtype=np.int64)
     for c in cdf:
-        idx += (c if rows is None else c.take(rows)) <= draws
+        idx += (c if rows is None or c.size == 1 else c.take(rows)) <= draws
     return idx
 
 
@@ -159,6 +171,7 @@ def _sample_disturbances(model: SystemModel, x, u, draws):
     for a callable one."""
     values, cdf = _cdf_rows(model, x, u)
     idx = _atoms(cdf, draws)
+    values = np.broadcast_to(values, idx.shape + values.shape[-1:])
     return np.take_along_axis(values, idx[..., None], axis=-1)[..., 0]
 
 
@@ -167,11 +180,13 @@ def _scenario_tree(policy: PrecommitmentPolicy, model: SystemModel, cap: int):
     states ``(x, z)`` of level ``D``.
 
     Level ``t`` is a tuple ``(x, z, u, w, cdf)``: its nodes' states
-    (L, state_dim) and running maxima (L,), their actions (L,), the atom
-    values of their children (L * n_w,) and their CDF (``_cdf_rows``).
-    Child ``node * n_w + k`` follows atom ``k`` of ``node``. ``D`` is the
-    deepest level, up to the horizon, with at most ``cap`` nodes, and at
-    most the first level holding a non-finite state (module docstring).
+    (L, state_dim) and running maxima (L,), their actions (L,), their atom
+    values as an (L, n_w) broadcast view of the rows ``_cdf_rows`` gives,
+    and their CDF as it gives it, so a ``Pmf`` adds only its (n_w,) values
+    and n_w - 1 scalars to the level. Child
+    ``node * n_w + k`` follows atom ``k`` of ``node``. ``D`` is the deepest
+    level, up to the horizon, with at most ``cap`` nodes, and at most the
+    first level holding a non-finite state (module docstring).
     """
     x, z = np.full((1, model.state_dim), policy.x0), np.zeros(1)
     levels = []
@@ -180,12 +195,13 @@ def _scenario_tree(policy: PrecommitmentPolicy, model: SystemModel, cap: int):
             break
         u = _actions(policy, t, x, z)
         values, cdf = _cdf_rows(model, x, u)
-        if values.size > cap:
+        n_w = values.shape[-1]
+        if z.size * n_w > cap:
             break
-        levels.append((x, z, u, values.ravel(), cdf))
+        levels.append((x, z, u, np.broadcast_to(values, (z.size, n_w)), cdf))
         x_next = model.dynamics(x[:, None], u[:, None], values)
-        z = np.repeat(np.maximum(z, model.stage_cost(x, u)), values.shape[-1])
-        x = x_next.reshape(values.size, -1)
+        z = np.repeat(np.maximum(z, model.stage_cost(x, u)), n_w)
+        x = x_next.reshape(z.size, -1)
     return levels, x, z
 
 
@@ -215,13 +231,13 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
         draws = rng.random((m, horizon)).T.copy()  # row t: step t's draws
         node = np.zeros(m, dtype=np.int64)
         for t, (lx, lz, lu, lw, cdf) in enumerate(levels):
-            child = node * (lw.size // lz.size) + _atoms(cdf, draws[t], node)
+            atom = _atoms(cdf, draws[t], node)
             head = node[:c]
             states[t, lo:lo + c] = lx[head]
             zs[t, lo:lo + c] = lz[head]
             acts[t, lo:lo + c] = lu[head]
-            shocks[t, lo:lo + c] = lw[child[:c]]
-            node = child
+            shocks[t, lo:lo + c] = lw[head, atom[:c]]
+            node = node * lw.shape[1] + atom
         x, z = tree_x[node], tree_z[node]
         for t in range(len(levels), horizon):
             u = _actions(policy, t, x, z)

@@ -127,7 +127,8 @@ def unmerged_transitions(model: SystemModel, grid: AugmentedGrid):
     actions = grid.action_axis
     n_x, n_u, dim = nodes.shape[0], actions.size, grid.state_dim
     w_vals, probs = model.disturbance_rows(nodes[:, None, :], actions[None, :])
-    n_w = w_vals.shape[2]
+    n_w = w_vals.shape[-1]
+    w_vals, probs = (np.broadcast_to(a, (n_x, n_u, n_w)) for a in (w_vals, probs))
     nxt = np.broadcast_to(
         model.dynamics(nodes[:, None, None, :], actions[None, :, None], w_vals),
         (n_x, n_u, n_w, dim))

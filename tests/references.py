@@ -154,6 +154,8 @@ def _sample_disturbances_direct(model, x, u, draws):
     index is the count of CDF values at most the draw, capped at n_w - 1, the
     same for a static law as for a callable one."""
     values, probs = model.disturbance_rows(x, u)
+    shape = draws.shape + probs.shape[-1:]  # full rows: one per rollout
+    values, probs = np.broadcast_to(values, shape), np.broadcast_to(probs, shape)
     draws = np.ascontiguousarray(draws)  # read once per atom: keep it in cache
     cdf = np.zeros(draws.shape)
     idx = np.zeros(draws.shape, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Tests for the finite-distribution risk functionals."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cvarsafe import (Pmf, TinyInstance, cvar_dual, cvar_tail,
                       expected_excess, make_stormwater_model, risk_value, var)
 from cvarsafe import oracle
 from cvarsafe.cli import _default_corpus
+from cvarsafe.cvar import atom_excess, minimize_dual
 from cvarsafe.oracle import _y_distribution
 
 QUARTER = Pmf([1, 2, 3, 4], [0.25, 0.25, 0.25, 0.25])
@@ -143,6 +145,44 @@ class TestCvarDual:
         value, s_star = cvar_dual(Pmf([1.25], [1.0]), 0.3)
         assert (value, s_star) == (1.25, 1.25)
 
+    def test_atom_excess_matches_the_n_by_n_form(self):
+        # Both forms sum nonnegative terms. The n x n product max(v_i - v_j, 0)
+        # @ probs is exact up to a relative gamma(n + 1) (one subtraction, n
+        # products and their sum), atom_excess up to gamma(2n + 2), so the
+        # two differ by at most gamma(3n + 3) E_j. The objectives s + E / alpha
+        # then differ by at most gamma(3n + 5) max E / alpha plus one
+        # rounding of each side's sum, within gamma(2) max|objective|.
+        gamma = lambda k: k * 2.0**-53 / (1 - k * 2.0**-53)
+        rng = np.random.default_rng(12)
+        pmfs = [random_pmf(rng) for _ in range(200)]
+        pmfs += [Pmf.from_samples(rng.normal(0.0, 5.0, n))
+                 for n in rng.integers(2, 2000, 10)]
+        for p in pmfs:
+            n = len(p)
+            full = np.maximum(p.values[None, :] - p.values[:, None], 0.0) @ p.probs
+            assert np.all(np.abs(atom_excess(p) - full) <= gamma(3 * n + 3) * full)
+            for alpha in (0.005, 0.05, 0.5, 0.99, 1.0):
+                objective, best = minimize_dual(p.values, full, alpha)
+                bound = (gamma(3 * n + 5) * full.max() / alpha
+                         + gamma(2) * np.abs(objective).max())
+                value, s_star = cvar_dual(p, alpha)
+                assert abs(value - objective[best]) <= bound
+                # s* minimizes the n x n objective up to both roundings.
+                at = np.searchsorted(p.values, s_star)
+                assert objective[at] <= objective[best] + 2 * bound
+
+    def test_memory_is_linear_in_the_atoms(self):
+        p = Pmf.from_samples(np.random.default_rng(13).normal(size=3000))
+        assert len(p) == 3000
+        tracemalloc.start()
+        try:
+            cvar_dual(p, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few arrays of n floats, 24 kB each; one n x n matrix is 72 MB.
+        assert peak < 1e6
+
     def test_ignores_atom_order(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -263,7 +303,7 @@ class TestSharedRules:
         rng = np.random.default_rng(11)
         for _ in range(300):
             p = random_pmf(rng)
-            excess = np.maximum(p.values[None, :] - p.values[:, None], 0.0) @ p.probs
+            excess = atom_excess(p)
             for alpha in (0.05, 0.25, 0.5, 0.99, 1.0):
                 w_star, s_star = risk_value(p.values, excess[:, None], alpha)
                 assert (w_star[0], s_star[0]) == cvar_dual(p, alpha)

@@ -265,6 +265,25 @@ class TestScenarioTree:
         monkeypatch.setattr(rollout_mod, "_BLOCK", block)
         self.check(policy, model, 50, keep=10)
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2)], ids=["one-row", "batch-of-one"])
+    def test_callable_law_of_one_row(self, shape):
+        # A callable may give one row for every state, at a shape that
+        # broadcasts against the batch: its CDF is read by every draw.
+        smoke = smoke_disturbance()
+        law = lambda x, u: (smoke.values.reshape(shape), smoke.probs.reshape(shape))
+        base, policy = stormwater_policy()
+        model = dataclasses.replace(base, disturbance=law)
+        policy = policy_at(model, policy.grid)
+        assert tree_depth(policy, model, self.BIG) == 14  # 2**14 <= BIG < 2**15
+        self.check(policy, model, self.BIG, keep=10)
+
+    def test_production_cap(self):
+        # At least 2**17 smoke-law rollouts: the module's own cap, 17 levels.
+        model, policy = stormwater_policy()
+        num = (1 << 17) + 3
+        assert tree_depth(policy, model, num) == 17
+        self.check(policy, model, num, keep=10)
+
     def test_no_tree(self, monkeypatch):
         model, policy = stormwater_policy()
         monkeypatch.setattr(rollout_mod, "_TREE_NODES", 1)
@@ -287,7 +306,8 @@ class TestScenarioTree:
         assert tree_depth(policy, model, 1000) == model.horizon
         self.check(policy, model, 1000, keep=10)
 
-    @pytest.mark.parametrize("cap", [1, 1 << 15], ids=["full-steps", "tree"])
+    @pytest.mark.parametrize("cap", [1, rollout_mod._TREE_NODES],
+                             ids=["full-steps", "tree"])
     def test_draw_equal_to_a_cdf_value(self, monkeypatch, cap):
         # The first draw is the law's CDF at atoms 0 and 1 (atom 1 has
         # probability 0), so it takes atom 2: a `<` would take atom 0, and so
@@ -319,6 +339,45 @@ class TestScenarioTree:
         assert tree_depth(policy, model, 300) == 1
         want = self.check(policy, model, 300)
         assert np.isfinite(want.states).all() and np.isfinite(want.y_prime).all()
+
+
+class TestLawRows:
+    """A law's rows come at the shape the law gives them: a ``Pmf`` once for
+    every state, a callable one row per state."""
+
+    X = np.tile([2.5, 3.0], (1000, 1))
+    U = np.zeros(1000)
+
+    @pytest.mark.parametrize("law", [smoke_disturbance(), default_disturbance()],
+                             ids=["two-atoms", "nine-atoms"])
+    def test_static_rows_do_not_grow_with_the_batch(self, law):
+        model = make_stormwater_model(design_params("a"), law)
+        values, probs = model.disturbance_rows(self.X, self.U)
+        assert values.shape == probs.shape == (len(law),)
+        values, cdf = rollout_mod._cdf_rows(model, self.X, self.U)
+        assert values.shape == (len(law),)
+        assert [c.shape for c in cdf] == [()] * (len(law) - 1)
+        assert np.array_equal(cdf, np.cumsum(law.probs)[:-1])
+
+    def test_callable_rows_keep_their_batch_shape(self):
+        model = dataclasses.replace(make_stormwater_model(),
+                                    disturbance=wet_or_smoke_rows)
+        values, probs = model.disturbance_rows(self.X, self.U)
+        assert values.shape == probs.shape == (1000, 3)
+        values, cdf = rollout_mod._cdf_rows(model, self.X, self.U)
+        assert values.shape == (1000, 3)
+        assert [c.shape for c in cdf] == [(1000,)] * 2
+        # Rows that do not depend on u keep their u axis of size 1.
+        values, _ = model.disturbance_rows(self.X[None], np.zeros((4, 1)))
+        assert values.shape == (1, 1000, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (5, 2)])
+    def test_callable_rows_must_broadcast_to_the_batch(self, shape):
+        model = dataclasses.replace(
+            make_stormwater_model(),
+            disturbance=lambda x, u: (np.zeros(shape), np.full(shape, 0.5)))
+        with pytest.raises(ValueError):
+            model.disturbance_rows(np.zeros((3, 2)), np.zeros(3))
 
 
 class TestSampleDisturbances:
