@@ -48,8 +48,8 @@ _DEFAULTS = {
 }
 
 _PARAM_NAMES = {f.name for f in dataclass_fields(StormwaterParams)} - {"design", "pump"}
-_COUNT_PARAMS = {"horizon", "n_cso1", "n_cso2"}
-_PUMP_NAMES = {"q_max", "eps", "z_elev"}
+_COUNT_PARAMS = {f.name for f in dataclass_fields(StormwaterParams) if f.type == "int"}
+_PUMP_NAMES = {f.name for f in dataclass_fields(PumpParams)}
 
 
 def _merge(base: dict, override: dict, path: str) -> dict:

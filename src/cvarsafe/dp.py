@@ -207,10 +207,10 @@ def value_iteration(s: float, model: SystemModel, grid: AugmentedGrid,
 
     Returns ``(values, action_idx)``. ``values[t]`` is J_t on the flat
     (n_xnodes, n_z) grid for t in 0..N; its entries lie in
-    [0, max(c_bar - s, 0)] and are nondecreasing along z, and
-    ``values[0][:, 0]`` (the z = 0 column) is the swept value V^s whenever
-    the z axis starts at 0. ``action_idx[t]`` (int64, t in 0..N-1) holds the
-    argmin indices into the grid's action axis at the same nodes.
+    [0, max(c_bar - s, 0)] and are nondecreasing along z; J_0's z = 0 column
+    is the swept value V^s that ``solver.sweep`` reads. ``action_idx[t]``
+    (int64, t in 0..N-1) holds the argmin indices into the grid's action
+    axis at the same nodes.
     """
     if trans is None:
         trans = precompute_transitions(model, grid)

@@ -1,11 +1,11 @@
 """Pre-commitment policy deployment and Monte Carlo validation.
 
 A policy is synthesized for one (initial state, risk level) pair from the
-sweep's ``v0`` array: the minimizing dual parameter is read off
-``solver.risk_value`` on the column of the node nearest the initial state,
-value iteration is re-solved at exactly that parameter, and the policy
-keeps its argmin tables, which drive the rollouts, and ``J_0`` at that
-node and z = 0; the other value layers are not kept.
+sweep's ``v0`` array: on the column of the node nearest the initial state,
+``cvar.minimize_dual`` (as in ``solver.risk_value``) picks the dual
+parameter s*, and ``v0``'s cell there is the DP value. Value iteration is
+re-solved at exactly s*, and the policy keeps only its argmin tables, which
+drive the rollouts.
 
 Records are time-major: ``RolloutBatch.states`` has shape
 (horizon + 1, kept, state_dim), ``zs`` (horizon + 1, kept), ``actions`` and
@@ -60,11 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvar import Pmf, cvar_tail, var
+from .cvar import Pmf, cvar_tail, minimize_dual, var
 from .dp import value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
-from .solver import risk_value
 
 __all__ = ["PrecommitmentPolicy", "RolloutBatch", "synthesize_policy",
            "rollout", "estimate_risk"]
@@ -92,7 +91,7 @@ class PrecommitmentPolicy:
 
     x0: np.ndarray
     s_star: float
-    dp_value: float  # J_0 at the node nearest x0 and z = 0: E[max(Y - s*, 0)]
+    dp_value: float  # v0 at s* and the node nearest x0: E[max(Y - s*, 0)]
     action_idx: np.ndarray
     grid: AugmentedGrid
 
@@ -116,10 +115,10 @@ class RolloutBatch:
 
 def synthesize_policy(x0, alpha, v0: np.ndarray, model: SystemModel,
                       grid: AugmentedGrid) -> PrecommitmentPolicy:
-    """Fix s* at the node nearest x0, given the sweep ``v0`` on ``grid``'s s
-    axis, and re-solve value iteration there; ``dp_value`` is the re-solve's
-    ``J_0`` at that node and z = 0. ``x0`` must be one state of
-    shape (state_dim,) inside the state box, else ValueError."""
+    """Fix s* at the node nearest x0 from the sweep ``v0`` on ``grid``'s s
+    axis, with ``dp_value`` v0's cell there, and re-solve value iteration at
+    s* for its action tables only. ``x0`` must be one state of shape
+    (state_dim,) inside the state box, else ValueError."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected one state of "
@@ -128,11 +127,10 @@ def synthesize_policy(x0, alpha, v0: np.ndarray, model: SystemModel,
         if not lo <= x0[d] <= hi:
             raise ValueError(f"x0[{d}]={x0[d]} outside bounds [{lo}, {hi}]")
     node = grid.nearest_x_index(x0)
-    _, s_stars = risk_value(grid.s_axis, v0[:, [node]], alpha)
-    s_star = float(s_stars[0])
-    values, action_idx = value_iteration(s_star, model, grid)
-    return PrecommitmentPolicy(x0, s_star, float(values[0][node, 0]),
-                               action_idx, grid)
+    i = minimize_dual(grid.s_axis, v0[:, node], alpha)[1]
+    s_star = float(grid.s_axis[i])
+    _, action_idx = value_iteration(s_star, model, grid)
+    return PrecommitmentPolicy(x0, s_star, float(v0[i, node]), action_idx, grid)
 
 
 def _actions(policy: PrecommitmentPolicy, t: int, x, z):

@@ -38,7 +38,8 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     """Run value iteration for every dual parameter on the s axis and return
     ``v0`` of shape (n_s, n_xnodes), row i at ``grid.s_axis[i]``.
 
-    The z axis must start at 0 (the sweep reads the z = 0 column of J_0).
+    The z axis must run from 0 to at least ``model.c_bar``, else ValueError:
+    ``sweep`` alone reads J_0 at z = 0, and deploy takes s* and V^s from v0.
     ``threads`` bounds the number of solves run at once: the calling thread
     and ``threads - 1`` helper threads each take the next s until none is
     left. Any count yields identical output. The sweep prints nothing:
@@ -47,8 +48,10 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     ``value_iteration`` returned, for a caller to report progress or keep
     them; ``sweep`` drops them.
     """
-    if grid.z_axis[0] != 0.0:
-        raise ValueError("sweep requires a z axis starting at 0")
+    z_ends = grid.z_axis[[0, -1]]
+    if z_ends[0] != 0.0 or z_ends[1] < model.c_bar:
+        raise ValueError(f"sweep requires a z axis from 0 to at least c_bar="
+                         f"{model.c_bar}, got {z_ends[0]} to {z_ends[1]}")
     trans = precompute_transitions(model, grid)
     s_values = grid.s_axis
     v0 = np.empty((s_values.size, grid.n_xnodes))

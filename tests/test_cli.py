@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, error paths."""
 
+import dataclasses
 import json
 import math
 import re
@@ -12,8 +13,9 @@ from cvarsafe import (RolloutBatch, cli, dp, rollout, smoke_disturbance, solver,
                       synthesize_policy)
 from cvarsafe.artifacts import (SCHEMA_VERSION, read_sweep, write_rollouts_csv,
                                 write_tables_csv)
-from cvarsafe.config import (build_grid, build_model, config_hash, load_config,
-                             resolve_config, sweep_hash)
+from cvarsafe.config import (ConfigError, build_grid, build_model, config_hash,
+                             load_config, resolve_config, sweep_hash)
+from cvarsafe.models import PumpParams, StormwaterParams
 
 TINY_CONFIG = {
     "model": {"disturbance": "smoke"},
@@ -900,6 +902,23 @@ class TestConfigErrors:
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 2
         assert f"config error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    # The kinds come from the parameter dataclasses: every int field is a
+    # count, and every pump field a number.
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        StormwaterParams) if f.type == "int"])
+    def test_every_int_param_is_a_count(self, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"model.params.{name}: expected an integer count, got 1.5")):
+            resolve_config({"model": {"params": {name: 1.5}}})
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(PumpParams)])
+    def test_every_pump_param_is_a_number(self, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"model.params.pump.{name}: expected a finite number, got 'x'")):
+            resolve_config({"model": {"design": "b",
+                                      "params": {"pump": {name: "x"}}}})
 
     def test_numbers_are_checked_not_converted(self):
         # An int stays an int, so the config hash of a valid file is unchanged.

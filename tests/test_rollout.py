@@ -59,22 +59,41 @@ class TestSynthesizePolicy:
 
     @pytest.mark.parametrize("design", ["a", "b"])
     def test_dp_value_is_the_sweep_cell(self, design):
-        # The re-solve at s* gives the sweep's own v0 cell, bit for bit, on
-        # the coarse baseline grid; the cases reach s* at 0, inside the axis
-        # and at c_bar.
+        # The policy's dp_value is the sweep's v0 cell, and the re-solve at
+        # s* that gives its action tables reproduces that cell bit for bit,
+        # so the tables are those behind dp_value. On the coarse baseline
+        # grid; the cases reach s* at 0, inside the axis and at c_bar.
         model = make_stormwater_model(design_params(design),
                                       default_disturbance())
         grid = AugmentedGrid.uniform(model, (25, 25), 11, 11, 21)
         v0 = sweep(model, grid, threads=2)
-        s_stars = set()
+        j0 = {}
         for x0 in ([2.5, 3.0], [0.0, 3.25], [1.0, 1.0], [4.0, 4.0]):
             for alpha in (0.99, 0.5, 0.05):
                 policy = synthesize_policy(x0, alpha, v0, model, grid)
                 (i,) = np.flatnonzero(grid.s_axis == policy.s_star)
                 node = grid.nearest_x_index(np.array(x0))
                 assert policy.dp_value == v0[i, node], (x0, alpha)
-                s_stars.add(policy.s_star)
-        assert {grid.s_axis[0], grid.s_axis[-1]} < s_stars, s_stars
+                if policy.s_star not in j0:
+                    j0[policy.s_star] = value_iteration(policy.s_star, model,
+                                                        grid)[0][0]
+                assert j0[policy.s_star][node, 0] == v0[i, node], (x0, alpha)
+        assert {grid.s_axis[0], grid.s_axis[-1]} < set(j0), set(j0)
+
+    def test_dp_value_is_read_from_v0(self):
+        # Shifting every row of v0 by one constant leaves the dual argmin in
+        # place, and the policy's dp_value follows the shifted cell, not the
+        # re-solve.
+        model, grid, v0 = small_setup()
+        shifted = v0 + 0.25
+        for x0 in ([2.5, 3.0], [0.0, 3.25], [4.0, 4.0]):
+            policy = synthesize_policy(x0, 0.5, v0, model, grid)
+            moved = synthesize_policy(x0, 0.5, shifted, model, grid)
+            (i,) = np.flatnonzero(grid.s_axis == policy.s_star)
+            node = grid.nearest_x_index(np.array(x0))
+            assert moved.s_star == policy.s_star, x0
+            assert moved.dp_value == shifted[i, node] == v0[i, node] + 0.25
+            assert np.array_equal(moved.action_idx, policy.action_idx)
 
     def test_deploy_dp_value_is_the_sweep_csv_cell(self, tmp_path):
         # Through the command line: deploy --sweep writes the sweep.csv cell

@@ -70,14 +70,28 @@ class TestSweep:
         assert threading.get_ident() in solved and len(solved) == 2
         assert sorted(sum(solved.values(), [])) == grid.s_axis.tolist()
 
-    def test_rejects_grid_without_zero_z(self):
-        model = make_stormwater_model(disturbance=smoke_disturbance())
-        grid = AugmentedGrid(x_axes=(np.array([0.0, 5.0]), np.array([0.0, 6.0])),
-                             z_axis=np.array([0.5, 2.0]),
+    @staticmethod
+    def two_node_grid(z_axis):
+        return AugmentedGrid(x_axes=(np.array([0.0, 5.0]), np.array([0.0, 6.0])),
+                             z_axis=np.array(z_axis),
                              action_axis=np.array([0.0, 1.0]),
                              s_axis=np.array([0.0, 2.0]))
-        with pytest.raises(ValueError):
-            sweep(model, grid)
+
+    # The z axis must hold the running maximum from 0 up to c_bar = 2: one
+    # that stops short clamps every larger maximum to its last node.
+    @pytest.mark.parametrize("z_axis, ends", [
+        ([0.5, 2.0], "0.5 to 2.0"), ([0.0, 1.0], "0.0 to 1.0")],
+        ids=["starts-above-0", "stops-below-c_bar"])
+    def test_rejects_grid_without_zero_z(self, z_axis, ends):
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        with pytest.raises(ValueError, match="from 0 to at least c_bar=2.0, "
+                                             f"got {ends}$"):
+            sweep(model, self.two_node_grid(z_axis))
+
+    def test_accepts_z_axis_past_c_bar(self):
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        v0 = sweep(model, self.two_node_grid([0.0, 1.0, 2.0, 2.5]))
+        assert np.all(v0[-1] == 0.0)  # s = c_bar row
 
 
 class TestRiskValue:
