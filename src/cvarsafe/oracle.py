@@ -14,12 +14,14 @@ Policies that differ only at slots none of them reaches walk the same
 disturbance paths, so each class of them has one canonical member, the one
 taking action 0 at every slot it does not reach, and it comes first in
 ``itertools.product`` order. The enumeration walks the canonical policies
-only, one at a time on the scalar path (``_y_distribution`` and
-``cvar.cvar_dual``), and keeps the first of least value: the same policy
-and value as walking all of them.
+only, in one forward walk (``_policy_laws``) where each policy prefix
+carries its disturbance paths and the policies sharing it extend them. It
+scores each law with ``cvar.cvar_dual`` and keeps the first of least value:
+the same policy and value as walking all of them. ``_y_distribution``, the
+law of one fixed policy, is the same walk offering one action per node.
 
-Every walk (``reachable_nodes``, ``_canonical_policies``, ``_y_distribution``
-and ``_excess_dp``) reads the transition rule (x, z, a) -> (next x,
+An instance has three walks (``reachable_nodes``, ``_policy_laws`` and
+``_excess_dp``), each reading the transition rule (x, z, a) -> (next x,
 max(z, cost), p) from one cached table, ``TinyInstance.successors``, which
 lists each (x, a)'s cost and its atoms of positive probability in atom order.
 The grid adapter ``to_model_and_grid`` reads the raw arrays instead.
@@ -247,25 +249,50 @@ def _json_numbers(value, where, nested=True):
 
 
 def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
-    """Exact pmf of the maximum cost Y under a policy, by enumerating every
-    disturbance path from (x0, z=0)."""
-    out: Dict[float, float] = {}
-    stack = [(0, inst.x0, 0.0, 1.0)]
-    while stack:
-        t, xi, z, pr = stack.pop()
-        if t == inst.horizon:
-            y = max(z, float(inst.terminal[xi]))
-            out[y] = out.get(y, 0.0) + pr
-            continue
+    """Exact pmf of the maximum cost Y under a policy: the walk of
+    ``_policy_laws`` offering one action, ``get_action(t, x, z)``, per node."""
+    def chosen(t, xi, z):
         ai = get_action(t, xi, z)
         if ai is None or not 0 <= ai < inst.n_actions:
             raise OracleError(f"policy queried at unreachable node {(t, xi, z)}")
-        cost, atoms = inst.successors[xi][ai]
-        stack.extend((t + 1, nxt, max(z, cost), pr * p) for nxt, p in atoms)
-    ys = sorted(out)
-    probs = np.array([out[y] for y in ys])
-    check_prob_rows(probs, "atom")
-    return Pmf._merged(np.array(ys), probs)
+        return (ai,)
+
+    return next(_policy_laws(inst, inst.reachable_nodes(), chosen))[1]
+
+
+def _policy_laws(inst: TinyInstance, layers, options):
+    """Yield ``(actions, pmf of Y)`` per policy, in ``itertools.product``
+    order, with one action per node of ``layers[:horizon]``: any of
+    ``options(t, x, z)`` at a node the policy reaches, action 0 elsewhere.
+
+    One forward walk: a policy prefix carries its disturbance paths
+    (x index, z, probability), which the policies sharing it extend. A
+    path's children come in reverse atom order, so each law's atoms
+    accumulate in depth-first order, probabilities multiplied root first.
+    """
+    def extend(t, paths, prefix):
+        if t == inst.horizon:
+            out: Dict[float, float] = {}
+            for xi, z, pr in paths:
+                y = max(z, float(inst.terminal[xi]))
+                out[y] = out.get(y, 0.0) + pr
+            ys = sorted(out)
+            probs = np.array([out[y] for y in ys])
+            check_prob_rows(probs, "atom")
+            yield prefix, Pmf._merged(np.array(ys), probs)
+            return
+        reached = {(xi, z) for xi, z, _ in paths}
+        offers = [options(t, xi, z) if (xi, z) in reached else (0,)
+                  for xi, z in layers[t]]
+        for actions in itertools.product(*offers):
+            act = dict(zip(layers[t], actions))
+            nxt = []
+            for xi, z, pr in paths:
+                cost, atoms = inst.successors[xi][act[xi, z]]
+                nxt += [(n, max(z, cost), pr * p) for n, p in reversed(atoms)]
+            yield from extend(t + 1, nxt, prefix + actions)
+
+    return extend(0, [(inst.x0, 0.0, 1.0)], ())
 
 
 def _excess_dp(inst: TinyInstance, s):
@@ -307,9 +334,9 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
     """Minimum CVaR over every deterministic augmented-state policy.
 
     Returns the first policy of least CVaR in ``itertools.product`` order
-    over the reachable (t, x, z) slots, found by walking only the canonical
-    policies (``_canonical_policies``, see the module docstring); the
-    reported value equals a fixed-policy evaluation of ``policy``.
+    over the reachable (t, x, z) slots, found by one walk of the canonical
+    policies and their laws (``_policy_laws``, see the module docstring);
+    the reported value equals a fixed-policy evaluation of ``policy``.
     Cross-checks against the exchange-identity route; a disagreement beyond
     ``IDENTITY_TOL`` raises ``OracleError``. Raises ``OracleSizeError`` when
     the full enumeration, ``policy_count()`` policies, would exceed ``budget``.
@@ -319,47 +346,19 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
         raise OracleSizeError(
             f"{count} policies exceed the enumeration budget {budget}")
     layers = inst.reachable_nodes()
-    slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
-    best_value, policy = np.inf, None
-    for actions in _canonical_policies(inst, layers):
-        assignment = dict(zip(slots, actions))
-        value = cvar_dual(_y_distribution(
-            inst, lambda *node: assignment.get(node)), alpha)[0]
+    best_value, best = np.inf, None
+    for actions, law in _policy_laws(inst, layers, lambda *_: range(inst.n_actions)):
+        value = cvar_dual(law, alpha)[0]
         if value < best_value:
-            best_value, policy = value, assignment
+            best_value, best = value, actions
 
     exchange = exchange_identity_value(inst, alpha)
     if abs(best_value - exchange) > IDENTITY_TOL:
         raise OracleError(
             f"policy enumeration ({best_value!r}) and exchange identity "
             f"({exchange!r}) disagree beyond {IDENTITY_TOL}")
-    return OracleResult(float(best_value), policy, float(exchange))
-
-
-def _canonical_policies(inst: TinyInstance, layers):
-    """Yield the canonical policies as per-slot action tuples, slots in the
-    order of ``layers[:horizon]``, in ``itertools.product`` order.
-
-    A canonical policy takes action 0 at every slot it does not reach with
-    positive probability. Layer by layer, every action is offered at the
-    nodes reached so far and only action 0 at the others; the actions taken
-    at layer t fix the nodes reached at layer t + 1.
-    """
-    def extend(t, reached, prefix):
-        if t == inst.horizon:
-            yield prefix
-            return
-        options = [range(inst.n_actions) if node in reached else (0,)
-                   for node in layers[t]]
-        for actions in itertools.product(*options):
-            nxt = set()
-            for (xi, z), ai in zip(layers[t], actions):
-                if (xi, z) in reached:
-                    cost, atoms = inst.successors[xi][ai]
-                    nxt.update((n, max(z, cost)) for n, _ in atoms)
-            yield from extend(t + 1, nxt, prefix + actions)
-
-    return extend(0, {(inst.x0, 0.0)}, ())
+    slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
+    return OracleResult(float(best_value), dict(zip(slots, best)), float(exchange))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +402,11 @@ def generate_corpus(seed: int, count: int):
     return [random_instance(rng) for _ in range(count)]
 
 
+_CORPUS_SCHEMA = 1
+
+
 def save_corpus(path, instances):
-    payload = {"schema": 1, "instances": [inst.to_dict() for inst in instances]}
+    payload = {"schema": _CORPUS_SCHEMA, "instances": [i.to_dict() for i in instances]}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -412,12 +414,16 @@ def save_corpus(path, instances):
 
 def load_corpus(path):
     """Parse a corpus file; malformed JSON raises with line/column info, and
-    any other refusal is a ValueError naming ``instances`` or ``instances[i]``
-    (the caller names the file)."""
+    any other refusal is a ValueError naming ``schema`` (unless it reads as
+    JSON exactly ``_CORPUS_SCHEMA``: ``true`` and ``1.0`` are not ``1``),
+    ``instances`` or ``instances[i]`` (the caller names the file)."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "instances" not in payload:
         raise ValueError("not a corpus file (missing 'instances')")
+    if json.dumps(payload.get("schema")) != json.dumps(_CORPUS_SCHEMA):
+        raise ValueError(f"schema: expected {_CORPUS_SCHEMA}, "
+                         f"got {payload.get('schema')!r}")
     records = payload["instances"]
     if not isinstance(records, list):
         raise ValueError(f"instances: expected a list, got {records!r}")

@@ -41,8 +41,8 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     The z axis must run from 0 to at least ``model.c_bar``, else ValueError:
     ``sweep`` alone reads J_0 at z = 0, and deploy takes s* and V^s from v0.
     ``threads`` bounds the number of solves run at once: the calling thread
-    and ``threads - 1`` helper threads each take the next s until none is
-    left. Any count yields identical output. The sweep prints nothing:
+    and ``min(threads, n_s) - 1`` helper threads each take the next s until
+    none is left. Any count yields identical output. The sweep prints nothing:
     ``on_solve(s, values, action_idx)``, when given, is called from the
     thread that solved ``s`` as it finishes, with the tables
     ``value_iteration`` returned, for a caller to report progress or keep
@@ -78,7 +78,7 @@ def sweep(model: SystemModel, grid: AugmentedGrid, threads: int = 1,
     # keeps what a thread frees in that thread's own arena, so each extra
     # thread holds about one solve's memory (4 MB on the coarse baseline)
     # after the sweep, out of reach of the caller's later work.
-    helpers = int(threads) - 1
+    helpers = min(int(threads), s_values.size) - 1
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
         futures = [pool.submit(solve_rest) for _ in range(helpers)]
         solve_rest()

@@ -543,6 +543,20 @@ class TestOracleCommand:
         assert err.startswith(f"config error: {bad}: corpus parse failed: "), err
         assert "finished in" not in err
 
+    @pytest.mark.parametrize("schema", [None, 2, True, 1.0],
+                             ids=["missing", "2", "true", "1.0"])
+    def test_corpus_of_another_schema_refused(self, tmp_path, capsys, schema):
+        # Only JSON exactly 1 is this schema; an empty corpus would pass.
+        payload = {"instances": []}
+        if schema is not None:
+            payload["schema"] = schema
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["oracle", "--corpus", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {bad}: corpus parse failed: schema: "), err
+
     def test_corpus_row_off_by_1e_10_refused_at_parse(self, tmp_path, capsys):
         # Rows are checked at the tolerance the oracle's Pmfs use, so a row
         # summing to 1 + 1e-10 is a parse error, not a failure mid-check.

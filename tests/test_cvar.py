@@ -12,7 +12,6 @@ from cvarsafe import (Pmf, TinyInstance, cvar_dual, cvar_tail,
 from cvarsafe import oracle
 from cvarsafe.cli import _default_corpus
 from cvarsafe.cvar import atom_excess, minimize_dual
-from cvarsafe.oracle import _y_distribution
 
 QUARTER = Pmf([1, 2, 3, 4], [0.25, 0.25, 0.25, 0.25])
 COIN = Pmf([0, 2], [0.5, 0.5])
@@ -68,11 +67,8 @@ class TestPmf:
                  Pmf.from_samples(rng.integers(-5, 5, 200) * 0.5)]
         built += [random_pmf(rng) for _ in range(50)]
         for inst in _default_corpus():
-            layers = inst.reachable_nodes()
-            slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
-            built += [_y_distribution(inst, lambda *node, _a=dict(zip(slots, a)):
-                                      _a.get(node))
-                      for a in oracle._canonical_policies(inst, layers)]
+            built += [law for _, law in oracle._policy_laws(
+                inst, inst.reachable_nodes(), lambda *node: range(inst.n_actions))]
         for p in built:
             assert (np.diff(p.values) > 0).all(), p
 

@@ -168,6 +168,32 @@ class TestExactOptimalCvar:
         res = exact_optimal_cvar(inst, 1.0)
         assert (res.value, res.policy) == exact_optimal_cvar_loop(inst, 1.0)
 
+    @pytest.mark.parametrize("seed, i, value, policy", [
+        (15, 6, "0x1.c284a905cf441p+0",
+         {(0, 1, 0.0): 0, (1, 0, 0.0): 0, (1, 0, 1.0): 1, (1, 1, 0.0): 0,
+          (1, 1, 1.0): 1, (2, 0, 0.0): 0, (2, 0, 1.0): 1, (2, 1, 0.0): 0,
+          (2, 1, 1.0): 1}),
+        (21, 28, "0x1.4ccccccccccccp+0",
+         {(0, 0, 0.0): 2, (1, 1, 2.0): 0, (1, 2, 0.0): 0, (1, 2, 1.0): 0,
+          (1, 2, 2.0): 0}),
+    ])
+    def test_rounding_level_ties_pinned(self, seed, i, value, policy):
+        # The loop reference walks its policies with _y_distribution, the
+        # oracle's own walk, so a change of walk order would move both: pin
+        # the answers of the per-policy stack walk the shared walk replaced.
+        res = exact_optimal_cvar(generate_corpus(seed, i + 1)[i], 1.0)
+        assert res.value.hex() == res.exchange_value.hex() == value
+        assert res.policy == policy
+        assert list(res.policy) == list(policy)  # slots in layer order
+
+    def test_no_per_policy_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact_optimal_cvar walked one policy alone")
+
+        monkeypatch.setattr(oracle, "_y_distribution", refuse)
+        for inst in _default_corpus():
+            exact_optimal_cvar(inst, 0.5)
+
     def test_59049_policy_instance(self):
         rng = np.random.default_rng(3)
         while True:
@@ -270,7 +296,9 @@ class TestReachability:
                 signature = tuple(a if slot in reached else -1
                                   for slot, a in zip(slots, actions))
                 first.setdefault(signature, actions)
-            assert list(oracle._canonical_policies(inst, layers)) == list(first.values())
+            canonical = oracle._policy_laws(inst, layers,
+                                            lambda *node: range(inst.n_actions))
+            assert [actions for actions, _ in canonical] == list(first.values())
 
 
 def zero_atom_instance():
@@ -327,16 +355,14 @@ class TestSuccessors:
                                       lambda: generate_corpus(11, 1)[0]],
                              ids=["zero-atom", "two-state", "generated"])
     def test_walks_read_only_the_table(self, make):
-        # With the transition arrays gone once the table is cached, the four
+        # With the transition arrays gone once the table is cached, the three
         # walks still give what they gave before.
         def walks(inst, s):
             layers = inst.reachable_nodes()
-            slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
-            policies = list(oracle._canonical_policies(inst, layers))
-            pmfs = [_y_distribution(inst, lambda *node, _a=dict(zip(slots, a)):
-                                    _a.get(node)) for a in policies]
-            return (layers, policies,
-                    [(d.values.tolist(), d.probs.tolist()) for d in pmfs],
+            laws = list(oracle._policy_laws(inst, layers,
+                                            lambda *node: range(inst.n_actions)))
+            return (layers, [actions for actions, _ in laws],
+                    [(d.values.tolist(), d.probs.tolist()) for _, d in laws],
                     _excess_dp(inst, s).tolist())
 
         inst = make()
@@ -377,6 +403,15 @@ class TestSerialization:
         path = tmp_path / "other.json"
         path.write_text('{"something": []}\n')
         with pytest.raises(ValueError):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("schema", [None, '2', 'true', '1.0'],
+                             ids=["missing", "2", "true", "1.0"])
+    def test_other_schema_refused(self, tmp_path, schema):
+        path = tmp_path / "other.json"
+        head = "" if schema is None else f'"schema": {schema}, '
+        path.write_text('{' + head + '"instances": []}\n')
+        with pytest.raises(ValueError, match="^schema: expected 1, got "):
             load_corpus(path)
 
 

@@ -1,6 +1,7 @@
 """Dual sweep, outer minimization, and safe-set extraction tests."""
 
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from cvarsafe import (AugmentedGrid, exact_optimal_cvar,
                       extract_safe_set, generate_corpus, make_stormwater_model,
-                      risk_value, smoke_disturbance, sweep)
+                      risk_value, smoke_disturbance, solver, sweep)
 from cvarsafe.oracle import _excess_dp
 
 
@@ -69,6 +70,34 @@ class TestSweep:
         sweep(model, grid, threads=2, on_solve=on_solve)
         assert threading.get_ident() in solved and len(solved) == 2
         assert sorted(sum(solved.values(), [])) == grid.s_axis.tolist()
+
+    def test_helpers_bounded_by_the_s_values(self, monkeypatch):
+        # threads=1000 on 3 s values asks for at most 2 helpers. The fake pool
+        # runs each submitted call inline, so no thread is started.
+        pools, submits = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                submits.append(fn)
+                done = Future()
+                done.set_result(fn())
+                return done
+
+        model = make_stormwater_model(disturbance=smoke_disturbance())
+        grid = AugmentedGrid.uniform(model, (5, 5), 3, 3, 3)
+        expected = sweep(model, grid)
+        monkeypatch.setattr(solver, "ThreadPoolExecutor", InlinePool)
+        assert np.array_equal(sweep(model, grid, threads=1000), expected)
+        assert pools == [2] and len(submits) == 2
 
     @staticmethod
     def two_node_grid(z_axis):
