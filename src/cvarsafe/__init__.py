@@ -6,7 +6,7 @@ sets, and synthesizes the corresponding pre-commitment policies. Ships the
 two-tank stormwater benchmark and exact small-instance oracles.
 """
 
-from .cvar import Pmf, cvar_dual, cvar_tail, expected_excess, var
+from .cvar import Pmf, cvar_dual
 from .dp import (TransitionTables, backend, precompute_transitions,
                  value_iteration)
 from .grids import AugmentedGrid

@@ -1,10 +1,10 @@
-"""Risk functionals for finite distributions.
+"""Conditional Value-at-Risk of finite distributions, in the dual form.
 
-Value-at-Risk, Conditional Value-at-Risk (dual and tail forms), and the
-expected-excess building block they share. Everything operates on ``Pmf``,
-a finite probability mass function with sorted, merged atoms, so quantiles
-are plain CDF scans and the dual minimizer always sits on an atom: the
-dual form scans the atoms and is exact.
+CVaR at level alpha is min_s s + E[max(Y - s, 0)] / alpha. Everything
+operates on ``Pmf``, a finite probability mass function with sorted, merged
+atoms, so the dual minimizer always sits on an atom: ``cvar_dual`` scans
+the atoms and is exact. ``minimize_dual`` is the scan that the solver and
+policy synthesis share.
 
 All functions are pure and thread-safe.
 """
@@ -13,14 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Pmf", "var", "expected_excess", "atom_excess", "cvar_dual", "cvar_tail"]
+__all__ = ["Pmf", "atom_excess", "cvar_dual"]
 
 # Atom probabilities must sum to one within this tolerance.
 PROB_TOL = 1e-12
-
-# Slack used in CDF threshold comparisons so that exact-fraction CDF values
-# (0.25, 0.75, ...) are matched robustly after accumulation.
-_CDF_SLACK = 1e-9
 
 
 class Pmf:
@@ -62,17 +58,6 @@ class Pmf:
         out.values, out.probs = values, probs
         return out
 
-    @classmethod
-    def from_samples(cls, samples):
-        """Empirical pmf of a sample array (equal weight per draw)."""
-        samples = np.asarray(samples, dtype=np.float64).ravel()
-        if samples.size == 0:
-            raise ValueError("need at least one sample")
-        uniq, counts = np.unique(samples, return_counts=True)
-        if not np.isfinite(uniq[[0, -1]]).all():  # -inf sorts first, inf and NaN last
-            raise ValueError("atom values must be finite")
-        return cls._merged(uniq, counts / samples.size)
-
     def __len__(self):
         return self.values.size
 
@@ -95,35 +80,11 @@ def check_prob_rows(probs: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} probabilities sum to {worst!r}, expected 1")
 
 
-def _check_alpha(alpha, upper_open=False):
+def _check_alpha(alpha):
     a = float(alpha)
-    if not 0.0 < a <= 1.0 or (upper_open and a == 1.0):
-        hi = "1)" if upper_open else "1]"
-        raise ValueError(f"alpha must be in (0, {hi}, got {alpha!r}")
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     return a
-
-
-def var(dist: Pmf, alpha) -> float:
-    """Value-at-Risk at level alpha: the left-side (1 - alpha)-quantile.
-
-    Returns the smallest atom value y with P(Y <= y) >= 1 - alpha. At
-    alpha = 1 the threshold is zero, so the smallest atom is returned.
-    """
-    a = _check_alpha(alpha)
-    cdf = np.cumsum(dist.probs)
-    target = 1.0 - a
-    idx = int(np.searchsorted(cdf, target - _CDF_SLACK, side="left"))
-    idx = min(idx, dist.values.size - 1)
-    return float(dist.values[idx])
-
-
-def expected_excess(dist: Pmf, s: float) -> float:
-    """E[max(Y - s, 0)]: mean excess of the distribution above s.
-
-    Nonincreasing and convex in s; equals mean - s for s below the smallest
-    atom and 0 at or above the largest.
-    """
-    return float(np.maximum(dist.values - float(s), 0.0) @ dist.probs)
 
 
 def minimize_dual(s, excess, alpha):
@@ -162,13 +123,3 @@ def cvar_dual(dist: Pmf, alpha):
     objective, best = minimize_dual(s, atom_excess(dist), alpha)
     return float(objective[best]), float(s[best])
 
-
-def cvar_tail(dist: Pmf, alpha) -> float:
-    """CVaR at level alpha in (0, 1) via VaR + E[max(Y - VaR, 0)] / alpha.
-
-    Agrees with ``cvar_dual`` on any finite pmf. Not defined at alpha = 1;
-    use ``cvar_dual`` (or the mean) there.
-    """
-    a = _check_alpha(alpha, upper_open=True)
-    v = var(dist, a)
-    return v + expected_excess(dist, v) / a

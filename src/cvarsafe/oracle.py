@@ -139,16 +139,21 @@ class TinyInstance:
                   for c, nxt, ps in zip(*rows))
             for rows in zip(self.cost, self.next_idx, self.probs))
 
-    def reachable_nodes(self) -> List[List[Tuple[int, float]]]:
+    def reachable_nodes(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
         """Per time step, the sorted (x index, z value) pairs reachable
-        from (x0, 0) under at least one policy."""
-        layers = [[(self.x0, 0.0)]]
+        from (x0, 0) under at least one policy: built on first use and
+        cached, as immutable tuples."""
+        return self._layers
+
+    @functools.cached_property
+    def _layers(self):
+        layers = [((self.x0, 0.0),)]
         for _ in range(self.horizon):
-            layers.append(sorted({(nxt, max(z, cost))
-                                  for xi, z in layers[-1]
-                                  for cost, atoms in self.successors[xi]
-                                  for nxt, _ in atoms}))
-        return layers
+            layers.append(tuple(sorted({(nxt, max(z, cost))
+                                        for xi, z in layers[-1]
+                                        for cost, atoms in self.successors[xi]
+                                        for nxt, _ in atoms})))
+        return tuple(layers)
 
     def policy_count(self) -> int:
         nodes = sum(len(layer) for layer in self.reachable_nodes()[:-1])
@@ -257,12 +262,13 @@ def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
             raise OracleError(f"policy queried at unreachable node {(t, xi, z)}")
         return (ai,)
 
-    return next(_policy_laws(inst, inst.reachable_nodes(), chosen))[1]
+    return next(_policy_laws(inst, chosen))[1]
 
 
-def _policy_laws(inst: TinyInstance, layers, options):
+def _policy_laws(inst: TinyInstance, options):
     """Yield ``(actions, pmf of Y)`` per policy, in ``itertools.product``
-    order, with one action per node of ``layers[:horizon]``: any of
+    order, with one action per node of the instance's reachable layers
+    (``reachable_nodes()[:horizon]``): any of
     ``options(t, x, z)`` at a node the policy reaches, action 0 elsewhere.
 
     One forward walk: a policy prefix carries its disturbance paths
@@ -270,6 +276,8 @@ def _policy_laws(inst: TinyInstance, layers, options):
     path's children come in reverse atom order, so each law's atoms
     accumulate in depth-first order, probabilities multiplied root first.
     """
+    layers = inst.reachable_nodes()
+
     def extend(t, paths, prefix):
         if t == inst.horizon:
             out: Dict[float, float] = {}
@@ -345,9 +353,8 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
     if count > budget:
         raise OracleSizeError(
             f"{count} policies exceed the enumeration budget {budget}")
-    layers = inst.reachable_nodes()
     best_value, best = np.inf, None
-    for actions, law in _policy_laws(inst, layers, lambda *_: range(inst.n_actions)):
+    for actions, law in _policy_laws(inst, lambda *_: range(inst.n_actions)):
         value = cvar_dual(law, alpha)[0]
         if value < best_value:
             best_value, best = value, actions
@@ -357,6 +364,7 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
         raise OracleError(
             f"policy enumeration ({best_value!r}) and exchange identity "
             f"({exchange!r}) disagree beyond {IDENTITY_TOL}")
+    layers = inst.reachable_nodes()
     slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
     return OracleResult(float(best_value), dict(zip(slots, best)), float(exchange))
 

@@ -56,11 +56,12 @@ on its own inputs, not on the batch's size or shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cvar import Pmf, cvar_tail, minimize_dual, var
+from .cvar import _check_alpha, minimize_dual
 from .dp import value_iteration
 from .grids import AugmentedGrid
 from .models import SystemModel
@@ -80,6 +81,10 @@ _BLOCK = 8192
 # tracemalloc peak was 15, 17, 22 and 35 MB: 2**17 is the last doubling
 # that pays for its memory.
 _TREE_NODES = 1 << 17
+
+# Slack in ``estimate_risk``'s VaR rank, so that an exact-fraction CDF level
+# (0.25, 0.75, ...) picks its order statistic robustly after rounding.
+_CDF_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -250,27 +255,50 @@ def rollout(policy: PrecommitmentPolicy, num: int, seed: int,
 
 
 def estimate_risk(batch: RolloutBatch, alpha, s_star: float) -> dict:
-    """Empirical risk statistics of the realized maximum costs.
+    """Empirical risk statistics of the realized maximum costs, all read off
+    one sorted copy of Y'.
 
-    Builds the empirical pmf of Y' and evaluates VaR/CVaR through the risk
-    functionals; ``excess_hat`` is the sample mean of max(Y' - s_star, 0),
-    reported with its standard error ``excess_stderr``.
+    On the n sorted draws y, ``var_hat`` is the order statistic
+    ``y[ceil(n (1 - alpha - _CDF_SLACK)) - 1]`` (the smallest draw whose
+    empirical CDF reaches 1 - alpha, clipped to the sample), ``cvar_hat``
+    the tail form ``var_hat + sum_{y > var_hat} (y - var_hat) / (n alpha)``
+    (the mean at alpha = 1), and ``excess_hat`` the sample mean of
+    max(Y' - s_star, 0) with its standard error ``excess_stderr``. Besides
+    the copy, only the tail above ``var_hat`` is held once more: the excess
+    shifts the copy's tail above s_star in place, last. Raises ValueError
+    on an empty batch, alpha outside (0, 1], a non-finite s_star or a
+    non-finite Y'.
     """
-    if batch.num == 0:
+    n = batch.num
+    if n == 0:
         raise ValueError("empty rollout batch")
-    a = float(alpha)
-    dist = Pmf.from_samples(batch.y_prime)
-    if a == 1.0:
-        cvar_hat = dist.mean()
-    else:
-        cvar_hat = cvar_tail(dist, a)
-    excess = np.maximum(batch.y_prime - float(s_star), 0.0)
+    a = _check_alpha(alpha)
+    s = float(s_star)
+    if not np.isfinite(s):
+        raise ValueError(f"s_star must be finite, got {s_star!r}")
+    y = np.sort(batch.y_prime)
+    if not np.isfinite(y[[0, -1]]).all():  # -inf sorts first, inf and NaN last
+        raise ValueError("atom values must be finite")
+    var_hat = float(y[min(max(math.ceil(n * (1.0 - a - _CDF_SLACK)) - 1, 0), n - 1)])
+    mean_hat = float(y.sum() / n)
+    cvar_hat = mean_hat
+    if a < 1.0:
+        tail = y[np.searchsorted(y, var_hat, side="right"):] - var_hat
+        cvar_hat = var_hat + float(tail.sum()) / (n * a)
+    k = int(np.searchsorted(y, s, side="right"))
+    excess = y[k:]  # a view: the copy's tail becomes Y' - s_star there
+    excess -= s
+    m = excess.sum() / n
+    stderr = 0.0
+    if n > 1:
+        excess -= m
+        np.square(excess, out=excess)
+        stderr = float(np.sqrt((excess.sum() + k * m * m) / (n - 1)) / np.sqrt(n))
     return {
-        "num": batch.num,
-        "cvar_hat": float(cvar_hat),
-        "var_hat": var(dist, a),
-        "mean_hat": dist.mean(),
-        "excess_hat": float(excess.mean()),
-        "excess_stderr": float(excess.std(ddof=1) / np.sqrt(batch.num))
-        if batch.num > 1 else 0.0,
+        "num": n,
+        "cvar_hat": cvar_hat,
+        "var_hat": var_hat,
+        "mean_hat": mean_hat,
+        "excess_hat": float(m),
+        "excess_stderr": stderr,
     }

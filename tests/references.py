@@ -1,5 +1,9 @@
 """Exact references used only by the tests.
 
+``var``, ``expected_excess`` and ``cvar_tail`` are the tail form of CVaR,
+VaR + E[max(Y - VaR, 0)] / alpha, on a ``Pmf`` (``empirical_pmf`` makes one
+of a sample): the independent reference that ``cvar.cvar_dual`` and
+``rollout.estimate_risk`` are compared against.
 ``exact_policy_cvar`` and ``exact_optimal_cvar_history`` enumerate a
 ``TinyInstance`` under a fixed policy and under history-dependent policies;
 ``exact_optimal_cvar_loop`` scores every augmented-state policy one at a
@@ -18,9 +22,55 @@ from typing import Dict
 import numpy as np
 
 from cvarsafe import Pmf, StormwaterParams, TinyInstance, cvar_dual
+from cvarsafe.cvar import _check_alpha
 from cvarsafe.dp import TIE_TOL
 from cvarsafe.oracle import _y_distribution
-from cvarsafe.rollout import RolloutBatch
+from cvarsafe.rollout import _CDF_SLACK, RolloutBatch
+
+
+def empirical_pmf(samples) -> Pmf:
+    """Empirical pmf of a sample array (equal weight per draw)."""
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    if samples.size == 0:
+        raise ValueError("need at least one sample")
+    uniq, counts = np.unique(samples, return_counts=True)
+    if not np.isfinite(uniq[[0, -1]]).all():  # -inf sorts first, inf and NaN last
+        raise ValueError("atom values must be finite")
+    return Pmf._merged(uniq, counts / samples.size)
+
+
+def var(dist: Pmf, alpha) -> float:
+    """Value-at-Risk at level alpha: the left-side (1 - alpha)-quantile.
+
+    Returns the smallest atom value y with P(Y <= y) >= 1 - alpha, the CDF
+    compared with ``_CDF_SLACK`` of slack. At alpha = 1 the threshold is
+    zero, so the smallest atom is returned.
+    """
+    a = _check_alpha(alpha)
+    cdf = np.cumsum(dist.probs)
+    idx = int(np.searchsorted(cdf, 1.0 - a - _CDF_SLACK, side="left"))
+    return float(dist.values[min(idx, dist.values.size - 1)])
+
+
+def expected_excess(dist: Pmf, s: float) -> float:
+    """E[max(Y - s, 0)]: mean excess of the distribution above s.
+
+    Nonincreasing and convex in s; equals mean - s for s below the smallest
+    atom and 0 at or above the largest.
+    """
+    return float(np.maximum(dist.values - float(s), 0.0) @ dist.probs)
+
+
+def cvar_tail(dist: Pmf, alpha) -> float:
+    """CVaR at level alpha in (0, 1) via VaR + E[max(Y - VaR, 0)] / alpha.
+
+    Not defined at alpha = 1, where CVaR is the mean.
+    """
+    a = _check_alpha(alpha)
+    if a == 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    v = var(dist, a)
+    return v + expected_excess(dist, v) / a
 
 
 def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:

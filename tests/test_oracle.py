@@ -252,9 +252,17 @@ class TestReachability:
     def test_policy_count_matches_layer_sizes(self):
         inst = two_state_instance()
         layers = inst.reachable_nodes()
-        assert layers[0] == [(0, 0.0)]
+        assert layers[0] == ((0, 0.0),)
         nodes = sum(len(l) for l in layers[:-1])
         assert inst.policy_count() == inst.n_actions ** nodes
+
+    def test_layers_are_built_once(self):
+        # Every walk of an instance reads the same immutable layers.
+        inst = two_state_instance()
+        layers = inst.reachable_nodes()
+        assert layers is inst.reachable_nodes()
+        assert isinstance(layers, tuple)
+        assert all(isinstance(layer, tuple) for layer in layers)
 
     def test_grid_has_one_breakpoint_axis(self):
         # z and s share the breakpoint axis: it starts at 0 and holds every
@@ -296,8 +304,7 @@ class TestReachability:
                 signature = tuple(a if slot in reached else -1
                                   for slot, a in zip(slots, actions))
                 first.setdefault(signature, actions)
-            canonical = oracle._policy_laws(inst, layers,
-                                            lambda *node: range(inst.n_actions))
+            canonical = oracle._policy_laws(inst, lambda *node: range(inst.n_actions))
             assert [actions for actions, _ in canonical] == list(first.values())
 
 
@@ -359,8 +366,7 @@ class TestSuccessors:
         # walks still give what they gave before.
         def walks(inst, s):
             layers = inst.reachable_nodes()
-            laws = list(oracle._policy_laws(inst, layers,
-                                            lambda *node: range(inst.n_actions)))
+            laws = list(oracle._policy_laws(inst, lambda *node: range(inst.n_actions)))
             return (layers, [actions for actions, _ in laws],
                     [(d.values.tolist(), d.probs.tolist()) for _, d in laws],
                     _excess_dp(inst, s).tolist())
