@@ -27,7 +27,7 @@ from . import artifacts, config as config_mod
 from .config import ConfigError
 from .dp import backend
 from .models import DESIGNS
-from .oracle import (IDENTITY_TOL, OracleError, OracleSizeError,
+from .oracle import (IDENTITY_TOL, POLICY_BUDGET, OracleError, OracleSizeError,
                      exact_optimal_cvar, generate_corpus, load_corpus, save_corpus)
 from .rollout import estimate_risk, rollout, synthesize_policy
 from .solver import extract_safe_set, risk_value, sweep
@@ -297,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate this many instances instead of loading")
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the generated corpus (with --count; default 0)")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=POLICY_BUDGET,
+                   help="cap on policy_count() per instance (default "
+                        "%(default)s); an instance over it is reported as a "
+                        "failure (exit 1)")
     p.add_argument("--write-corpus", default=None,
                    help="serialize the checked instances to this path")
     p.set_defaults(func=cmd_oracle)

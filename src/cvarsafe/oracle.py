@@ -2,13 +2,10 @@
 
 A ``TinyInstance`` is a fully tabular control problem (explicit states,
 actions, disturbance atoms, horizon <= 3) whose transitions land exactly on
-listed states. Everything about it can be enumerated:
-
-  * the distribution of the maximum cost under a fixed policy,
-  * the best deterministic augmented-state policy by enumerating every
-    action assignment on the reachable (t, x, z) nodes, a policy's slots
-    (``exact_optimal_cvar``), cross-checked against the dual-parameter
-    exchange route min_s [ s + min_pi E[(Y - s)+] / alpha ].
+listed states, so its best deterministic augmented-state policy can be
+found by enumerating every action assignment on the reachable (t, x, z)
+nodes, a policy's slots (``exact_optimal_cvar``), and cross-checked against
+the dual-parameter exchange route min_s [ s + min_pi E[(Y - s)+] / alpha ].
 
 Policies that differ only at slots none of them reaches walk the same
 disturbance paths, so each class of them has one canonical member, the one
@@ -17,8 +14,7 @@ taking action 0 at every slot it does not reach, and it comes first in
 only, in one forward walk (``_policy_laws``) where each policy prefix
 carries its disturbance paths and the policies sharing it extend them. It
 scores each law with ``cvar.cvar_dual`` and keeps the first of least value:
-the same policy and value as walking all of them. ``_y_distribution``, the
-law of one fixed policy, is the same walk offering one action per node.
+the same policy and value as walking all of them.
 
 An instance has three walks (``reachable_nodes``, ``_policy_laws`` and
 ``_excess_dp``), each reading the transition rule (x, z, a) -> (next x,
@@ -56,10 +52,11 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-9
+POLICY_BUDGET = 1_000_000  # default cap on policy_count() per instance
 
 
 class OracleError(RuntimeError):
-    """An exact cross-check failed or an invalid policy entry was queried."""
+    """The policy enumeration and the exchange identity disagree."""
 
 
 class OracleSizeError(ValueError):
@@ -253,23 +250,11 @@ def _json_numbers(value, where, nested=True):
         raise ValueError(f"{where}: expected a finite number, got {value!r}")
 
 
-def _y_distribution(inst: TinyInstance, get_action) -> Pmf:
-    """Exact pmf of the maximum cost Y under a policy: the walk of
-    ``_policy_laws`` offering one action, ``get_action(t, x, z)``, per node."""
-    def chosen(t, xi, z):
-        ai = get_action(t, xi, z)
-        if ai is None or not 0 <= ai < inst.n_actions:
-            raise OracleError(f"policy queried at unreachable node {(t, xi, z)}")
-        return (ai,)
-
-    return next(_policy_laws(inst, chosen))[1]
-
-
-def _policy_laws(inst: TinyInstance, options):
-    """Yield ``(actions, pmf of Y)`` per policy, in ``itertools.product``
-    order, with one action per node of the instance's reachable layers
-    (``reachable_nodes()[:horizon]``): any of
-    ``options(t, x, z)`` at a node the policy reaches, action 0 elsewhere.
+def _policy_laws(inst: TinyInstance):
+    """Yield ``(actions, pmf of Y)`` per canonical policy, in
+    ``itertools.product`` order, with one action per node of the instance's
+    reachable layers (``reachable_nodes()[:horizon]``): any action at a node
+    the policy reaches, action 0 elsewhere.
 
     One forward walk: a policy prefix carries its disturbance paths
     (x index, z, probability), which the policies sharing it extend. A
@@ -290,8 +275,8 @@ def _policy_laws(inst: TinyInstance, options):
             yield prefix, Pmf._merged(np.array(ys), probs)
             return
         reached = {(xi, z) for xi, z, _ in paths}
-        offers = [options(t, xi, z) if (xi, z) in reached else (0,)
-                  for xi, z in layers[t]]
+        offers = [range(inst.n_actions) if node in reached else (0,)
+                  for node in layers[t]]
         for actions in itertools.product(*offers):
             act = dict(zip(layers[t], actions))
             nxt = []
@@ -338,7 +323,7 @@ class OracleResult:
 
 
 def exact_optimal_cvar(inst: TinyInstance, alpha,
-                       budget: int = 1_000_000) -> OracleResult:
+                       budget: int = POLICY_BUDGET) -> OracleResult:
     """Minimum CVaR over every deterministic augmented-state policy.
 
     Returns the first policy of least CVaR in ``itertools.product`` order
@@ -354,7 +339,7 @@ def exact_optimal_cvar(inst: TinyInstance, alpha,
         raise OracleSizeError(
             f"{count} policies exceed the enumeration budget {budget}")
     best_value, best = np.inf, None
-    for actions, law in _policy_laws(inst, lambda *_: range(inst.n_actions)):
+    for actions, law in _policy_laws(inst):
         value = cvar_dual(law, alpha)[0]
         if value < best_value:
             best_value, best = value, actions

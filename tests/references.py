@@ -4,10 +4,12 @@
 VaR + E[max(Y - VaR, 0)] / alpha, on a ``Pmf`` (``empirical_pmf`` makes one
 of a sample): the independent reference that ``cvar.cvar_dual`` and
 ``rollout.estimate_risk`` are compared against.
-``exact_policy_cvar`` and ``exact_optimal_cvar_history`` enumerate a
-``TinyInstance`` under a fixed policy and under history-dependent policies;
-``exact_optimal_cvar_loop`` scores every augmented-state policy one at a
-time, the scalar reference of ``oracle.exact_optimal_cvar``;
+``policy_law`` is the law of the maximum cost of a ``TinyInstance`` under
+a fixed policy, by its own depth-first walk of the disturbance paths;
+``exact_policy_cvar`` scores it, and ``exact_optimal_cvar_loop`` scores
+every augmented-state policy with it one at a time, the reference of
+``oracle.exact_optimal_cvar``, which shares no walk with it;
+``exact_optimal_cvar_history`` enumerates history-dependent policies;
 ``q_pump_piecewise`` is the pump flow in its original four-case form, an
 independent cross-check of ``models.q_pump``; ``sweep_kernel_xmajor`` is the
 Bellman step in the x-major order that ``dp.sweep_kernel`` replaced, which
@@ -22,9 +24,9 @@ from typing import Dict
 import numpy as np
 
 from cvarsafe import Pmf, StormwaterParams, TinyInstance, cvar_dual
-from cvarsafe.cvar import _check_alpha
+from cvarsafe.cvar import _check_alpha, check_prob_rows
 from cvarsafe.dp import TIE_TOL
-from cvarsafe.oracle import _y_distribution
+from cvarsafe.oracle import OracleError
 from cvarsafe.rollout import _CDF_SLACK, RolloutBatch
 
 
@@ -73,6 +75,30 @@ def cvar_tail(dist: Pmf, alpha) -> float:
     return v + expected_excess(dist, v) / a
 
 
+def policy_law(inst: TinyInstance, get_action) -> Pmf:
+    """Exact pmf of the maximum cost Y under the policy
+    ``get_action(t, x index, z)``, by enumerating every disturbance path
+    from (x0, z=0); an action that is missing (``None``) or out of range
+    raises ``OracleError``."""
+    out: Dict[float, float] = {}
+    stack = [(0, inst.x0, 0.0, 1.0)]
+    while stack:
+        t, xi, z, pr = stack.pop()
+        if t == inst.horizon:
+            y = max(z, float(inst.terminal[xi]))
+            out[y] = out.get(y, 0.0) + pr
+            continue
+        ai = get_action(t, xi, z)
+        if ai is None or not 0 <= ai < inst.n_actions:
+            raise OracleError(f"policy queried at unreachable node {(t, xi, z)}")
+        cost, atoms = inst.successors[xi][ai]
+        stack.extend((t + 1, nxt, max(z, cost), pr * p) for nxt, p in atoms)
+    ys = sorted(out)
+    probs = np.array([out[y] for y in ys])
+    check_prob_rows(probs, "atom")
+    return Pmf._merged(np.array(ys), probs)
+
+
 def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
     """CVaR of the maximum cost under a fixed augmented-state policy.
 
@@ -82,13 +108,13 @@ def exact_policy_cvar(inst: TinyInstance, policy, alpha) -> float:
     def get_action(t, xi, z):
         return policy.get((t, xi, z)) if hasattr(policy, "get") else policy(t, xi, z)
 
-    return cvar_dual(_y_distribution(inst, get_action), alpha)[0]
+    return cvar_dual(policy_law(inst, get_action), alpha)[0]
 
 
 def exact_optimal_cvar_loop(inst: TinyInstance, alpha):
     """``(value, policy)``: the first policy, in ``itertools.product`` order
     over the reachable (t, x, z) slots, of least CVaR, each policy walked by
-    ``_y_distribution`` and scored by ``cvar_dual``."""
+    ``policy_law`` and scored by ``cvar_dual``."""
     layers = inst.reachable_nodes()
     slots = [(t, xi, z) for t in range(inst.horizon) for xi, z in layers[t]]
     slot_of = {node: i for i, node in enumerate(slots)}
@@ -99,7 +125,7 @@ def exact_optimal_cvar_loop(inst: TinyInstance, alpha):
         def get_action(t, xi, z, _a=assignment):
             return _a[slot_of[(t, xi, z)]]
 
-        value = cvar_dual(_y_distribution(inst, get_action), alpha)[0]
+        value = cvar_dual(policy_law(inst, get_action), alpha)[0]
         if value < best_value:
             best_value = value
             best_assignment = assignment

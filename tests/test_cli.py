@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarsafe import (RolloutBatch, cli, dp, rollout, smoke_disturbance, solver,
-                      synthesize_policy)
+from cvarsafe import (OracleError, RolloutBatch, cli, dp, exact_optimal_cvar,
+                      generate_corpus, oracle, rollout, save_corpus,
+                      smoke_disturbance, solver, synthesize_policy)
 from cvarsafe.artifacts import (SCHEMA_VERSION, read_sweep, write_rollouts_csv,
                                 write_tables_csv)
 from cvarsafe.config import (ConfigError, build_grid, build_model, config_hash,
@@ -675,6 +676,28 @@ class TestOracleCommand:
             label, gap = failure["error"].rsplit(" ", 1)
             assert label == "pipeline gap"
             assert abs(float(gap) - 1e-6) <= 1e-15
+
+    def test_cross_check_refusal_reported(self, tmp_path, monkeypatch):
+        # An exchange identity off by 1e-6 is refused with an error naming
+        # both values, and the command reports it as the instance's failure.
+        inst = generate_corpus(5, 1)[0]
+        alpha = cli._ORACLE_ALPHAS[0]
+        res = exact_optimal_cvar(inst, alpha)
+        exact = oracle.exchange_identity_value
+        monkeypatch.setattr(oracle, "exchange_identity_value",
+                            lambda inst, alpha: exact(inst, alpha) + 1e-6)
+        error = (f"policy enumeration ({res.value!r}) and exchange identity "
+                 f"({res.exchange_value + 1e-6!r}) disagree beyond "
+                 f"{oracle.IDENTITY_TOL}")
+        with pytest.raises(OracleError) as refused:
+            exact_optimal_cvar(inst, alpha)
+        assert str(refused.value) == error
+        corpus = tmp_path / "one.json"
+        save_corpus(corpus, [inst])
+        out = tmp_path / "run"
+        assert cli.main(["oracle", "--corpus", str(corpus), "--out", str(out)]) == 1
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["failures"] == [{"instance": 0, "alpha": alpha, "error": error}]
 
     def test_write_corpus(self, tmp_path, capsys):
         target = tmp_path / "corpus.json"

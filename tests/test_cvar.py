@@ -68,8 +68,7 @@ class TestPmf:
                  empirical_pmf(rng.integers(-5, 5, 200) * 0.5)]
         built += [random_pmf(rng) for _ in range(50)]
         for inst in _default_corpus():
-            built += [law for _, law in oracle._policy_laws(
-                inst, lambda *node: range(inst.n_actions))]
+            built += [law for _, law in oracle._policy_laws(inst)]
         for p in built:
             assert (np.diff(p.values) > 0).all(), p
 

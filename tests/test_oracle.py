@@ -14,10 +14,10 @@ from cvarsafe import (AugmentedGrid, OracleError, OracleSizeError, Pmf,
 from cvarsafe import oracle
 from cvarsafe.cli import _ORACLE_ALPHAS, _default_corpus
 from cvarsafe.dp import precompute_transitions
-from cvarsafe.oracle import _excess_dp, _y_distribution
+from cvarsafe.oracle import _excess_dp
 from pointwise import expectation_dp
 from references import (exact_optimal_cvar_history, exact_optimal_cvar_loop,
-                        exact_policy_cvar)
+                        exact_policy_cvar, policy_law)
 
 
 def two_state_instance():
@@ -178,21 +178,14 @@ class TestExactOptimalCvar:
           (1, 2, 2.0): 0}),
     ])
     def test_rounding_level_ties_pinned(self, seed, i, value, policy):
-        # The loop reference walks its policies with _y_distribution, the
-        # oracle's own walk, so a change of walk order would move both: pin
-        # the answers of the per-policy stack walk the shared walk replaced.
+        # The loop reference walks each policy's paths depth first on its
+        # own; the oracle carries all of a prefix's paths one step at a time.
+        # Both must break these one-ulp ties alike: pin the answers of the
+        # reference's stack walk, so that neither walk can move them.
         res = exact_optimal_cvar(generate_corpus(seed, i + 1)[i], 1.0)
         assert res.value.hex() == res.exchange_value.hex() == value
         assert res.policy == policy
         assert list(res.policy) == list(policy)  # slots in layer order
-
-    def test_no_per_policy_walk(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("exact_optimal_cvar walked one policy alone")
-
-        monkeypatch.setattr(oracle, "_y_distribution", refuse)
-        for inst in _default_corpus():
-            exact_optimal_cvar(inst, 0.5)
 
     def test_59049_policy_instance(self):
         rng = np.random.default_rng(3)
@@ -300,11 +293,11 @@ class TestReachability:
                     reached.add(node)
                     return _a[node]
 
-                _y_distribution(inst, get_action)
+                policy_law(inst, get_action)
                 signature = tuple(a if slot in reached else -1
                                   for slot, a in zip(slots, actions))
                 first.setdefault(signature, actions)
-            canonical = oracle._policy_laws(inst, lambda *node: range(inst.n_actions))
+            canonical = oracle._policy_laws(inst)
             assert [actions for actions, _ in canonical] == list(first.values())
 
 
@@ -366,7 +359,7 @@ class TestSuccessors:
         # walks still give what they gave before.
         def walks(inst, s):
             layers = inst.reachable_nodes()
-            laws = list(oracle._policy_laws(inst, lambda *node: range(inst.n_actions)))
+            laws = list(oracle._policy_laws(inst))
             return (layers, [actions for actions, _ in laws],
                     [(d.values.tolist(), d.probs.tolist()) for _, d in laws],
                     _excess_dp(inst, s).tolist())
